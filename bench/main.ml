@@ -33,7 +33,7 @@ let experiments =
 let usage () =
   Printf.eprintf
     "usage: main.exe [all|%s] [-s N] [--no-timing] [--csv DIR] [--jobs N] [--json FILE] \
-     [--verify] [--strict] [--journal FILE] [--store DIR] [--loop-budget-ms N] [--cases N] [--fuzz-seed N] \
+     [--verify] [--strict] [--store DIR] [--loop-budget-ms N] [--cases N] [--fuzz-seed N] \
      [--trace FILE] [--metrics FILE] [--backend heuristic|exact|portfolio] [--backend-diff] \
      [--ledger FILE] [--ledger-wall]\n\
      \       main.exe report LEDGER\n\
@@ -132,7 +132,6 @@ let ( selected,
       json_path,
       verify_flag,
       strict_flag,
-      journal_path,
       store_dir,
       loop_budget_ms,
       fuzz_cases,
@@ -143,11 +142,10 @@ let ( selected,
       backend_diff,
       ledger_path,
       ledger_wall ) =
-  let selected = ref "all" and sample = ref None and timing = ref true in
+  let selected = ref None and sample = ref None and timing = ref true in
   let csv = ref None and jobs = ref None and json = ref None in
   let verify = ref false and cases = ref 200 and seed = ref 0x5EEDL in
-  let strict = ref false and journal = ref None and budget = ref None in
-  let store = ref None in
+  let strict = ref false and budget = ref None and store = ref None in
   let trace = ref None and metrics = ref None in
   let backend = ref None and diff = ref false in
   let ledger = ref None and lwall = ref false in
@@ -164,9 +162,6 @@ let ( selected,
         parse rest
     | "--strict" :: rest ->
         strict := true;
-        parse rest
-    | "--journal" :: path :: rest ->
-        journal := Some path;
         parse rest
     | "--store" :: dir :: rest ->
         store := Some dir;
@@ -215,14 +210,16 @@ let ( selected,
     | "--ledger-wall" :: rest ->
         lwall := true;
         parse rest
-    | id :: rest when id = "all" || List.mem id experiments ->
-        selected := id;
+    (* One experiment per invocation: a second name is a usage error,
+       not a silent override of the first. *)
+    | id :: rest when !selected = None && (id = "all" || List.mem id experiments) ->
+        selected := Some id;
         parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  ( !selected, !sample, !timing, !csv, !jobs, !json, !verify, !strict, !journal, !store,
-    !budget, !cases, !seed, !trace, !metrics, !backend, !diff, !ledger, !lwall )
+  ( Option.value !selected ~default:"all", !sample, !timing, !csv, !jobs, !json, !verify,
+    !strict, !store, !budget, !cases, !seed, !trace, !metrics, !backend, !diff, !ledger, !lwall )
 
 let () = Option.iter Wr_util.Pool.set_default_jobs jobs_flag
 
@@ -240,14 +237,6 @@ let () = if ledger_wall then Core.Provenance.set_wall true
 
 let () = Core.Evaluate.set_loop_budget_ms loop_budget_ms
 
-let () =
-  Option.iter
-    (fun path ->
-      let replayed = Core.Evaluate.attach_journal path in
-      if replayed > 0 then
-        Printf.printf "[journal] resumed %d completed points from %s\n%!" replayed path)
-    journal_path
-
 (* --store falls back to WR_STORE, mirroring the CLI. *)
 let store_dir =
   match store_dir with
@@ -259,14 +248,7 @@ let () =
     (fun dir ->
       match Core.Evaluate.attach_store dir with
       | r ->
-          Printf.printf "[store] %s: %d entries in %d segment(s)%s%s\n%!" dir
-            r.Core.Store.entries r.Core.Store.segments
-            (if r.Core.Store.quarantined_segments > 0 then
-               Printf.sprintf ", %d quarantined" r.Core.Store.quarantined_segments
-             else "")
-            (if r.Core.Store.truncated_bytes > 0 then
-               Printf.sprintf ", %d torn byte(s) truncated" r.Core.Store.truncated_bytes
-             else "")
+          Printf.printf "[store] %s: %s\n%!" dir (Core.Store.describe_recovery r)
       | exception Core.Store.Locked msg ->
           prerr_endline msg;
           exit 2)
@@ -1130,7 +1112,6 @@ let () =
         (Core.Evaluate.store_appended ());
       Core.Evaluate.detach_store ())
     store_dir;
-  Core.Evaluate.detach_journal ();
   (match List.rev !deferred_failures with
   | [] -> ()
   | fs ->

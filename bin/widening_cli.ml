@@ -34,7 +34,7 @@ let experiment_ids =
     "ablation-rotating"; "ablation-ordering"; "icache"; "traffic"; "dcache"; "balance"; "all";
   ]
 
-let run_experiment id sample jobs trace metrics strict journal store budget backend ledger =
+let run_experiment id sample jobs trace metrics strict store budget backend ledger =
   let store = store_or_env store in
   Option.iter Wr_sched.Backend.set backend;
   Option.iter Wr_util.Pool.set_default_jobs jobs;
@@ -43,23 +43,10 @@ let run_experiment id sample jobs trace metrics strict journal store budget back
   if strict then Core.Evaluate.set_strict true;
   Core.Evaluate.set_loop_budget_ms budget;
   Option.iter
-    (fun path ->
-      let replayed = Core.Evaluate.attach_journal path in
-      if replayed > 0 then
-        Printf.eprintf "[journal] resumed %d completed points from %s\n%!" replayed path)
-    journal;
-  Option.iter
     (fun dir ->
       match Core.Evaluate.attach_store dir with
       | r ->
-          Printf.eprintf "[store] %s: %d entries in %d segment(s)%s%s\n%!" dir
-            r.Core.Store.entries r.Core.Store.segments
-            (if r.Core.Store.quarantined_segments > 0 then
-               Printf.sprintf ", %d quarantined" r.Core.Store.quarantined_segments
-             else "")
-            (if r.Core.Store.truncated_bytes > 0 then
-               Printf.sprintf ", %d torn byte(s) truncated" r.Core.Store.truncated_bytes
-             else "")
+          Printf.eprintf "[store] %s: %s\n%!" dir (Core.Store.describe_recovery r)
       | exception Core.Store.Locked msg ->
           prerr_endline msg;
           exit 2)
@@ -126,7 +113,6 @@ let run_experiment id sample jobs trace metrics strict journal store budget back
         (Core.Evaluate.store_appended ());
       Core.Evaluate.detach_store ())
     store;
-  Core.Evaluate.detach_journal ();
   (* Completed-with-quarantine is exit 3 (see README "Exit codes"):
      distinct from success and from hard failure, so CI can tell a
      degraded sweep from a crashed one. *)
@@ -187,14 +173,6 @@ let strict_arg =
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
-let journal_arg =
-  let doc =
-    "Journal each completed evaluation point to FILE and, if FILE already holds a previous \
-     (possibly interrupted) run, resume from it: completed points are replayed instead of \
-     recomputed, and the final output is byte-identical to an uninterrupted run."
-  in
-  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-
 let budget_arg =
   let doc =
     "Wall-clock budget per loop evaluation in milliseconds, enforced cooperatively at \
@@ -241,9 +219,11 @@ let store_arg =
   let doc =
     "Consult and append to a persistent content-addressed result store at DIR: evaluation \
      points already present (keyed by provenance hash) are answered from the store without \
-     re-evaluation, and every fresh clean evaluation is appended.  The store is crash-safe \
-     (checksummed append-only segments; torn tails and corrupt segments are recovered on \
-     open) and single-writer (a stale lock from a killed process is broken automatically)."
+     re-evaluation, and every fresh clean evaluation is appended.  Re-running an interrupted \
+     run on the same DIR resumes it, with output byte-identical to an uninterrupted run.  The \
+     store is crash-safe (checksummed append-only segments; torn tails and corrupt segments \
+     are recovered on open) and single-writer (a stale lock from a killed process is broken \
+     automatically)."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
@@ -256,7 +236,7 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables or figures")
     Term.(const run_experiment $ id $ sample_arg $ jobs_arg $ trace_arg $ metrics_arg
-          $ strict_arg $ journal_arg $ store_arg $ budget_arg $ backend_arg $ ledger_arg)
+          $ strict_arg $ store_arg $ budget_arg $ backend_arg $ ledger_arg)
 
 (* --- schedule --------------------------------------------------------- *)
 

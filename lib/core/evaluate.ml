@@ -347,87 +347,12 @@ let cache_store key agg =
   Hashtbl.replace cache key agg;
   Mutex.unlock cache_mutex
 
-(* Checkpoint/resume.  The journal records exactly the loop-level memo
-   entries — the unit of work worth not repeating — so replay is a bulk
-   load into [loop_cache] and appending happens where the cache is
-   filled.  Only cleanly computed results are journaled: a quarantined
-   point must be re-evaluated on resume, when the fault may be gone. *)
-let journal : Journal.t option ref = ref None
-
-let journal_mutex = Mutex.create ()
-
-let entry_of_result (key : string * int * int * int * int * int) (r : loop_result) =
-  let suite_id, index, buses, width, registers, cycles = key in
-  {
-    Journal.key = { Journal.suite_id; index; buses; width; registers; cycles };
-    ii = r.ii;
-    cycles_bits = Int64.bits_of_float r.cycles;
-    required_regs = r.required_regs;
-    spill_stores = r.spill_stores;
-    spill_loads = r.spill_loads;
-    spill_rounds = r.spill_rounds;
-    pipelined = r.pipelined;
-    mii = r.mii;
-    trip_count = r.trip_count;
-  }
-
-let result_of_entry (e : Journal.entry) =
-  {
-    ii = e.Journal.ii;
-    cycles = Int64.float_of_bits e.Journal.cycles_bits;
-    required_regs = e.Journal.required_regs;
-    spill_stores = e.Journal.spill_stores;
-    spill_loads = e.Journal.spill_loads;
-    spill_rounds = e.Journal.spill_rounds;
-    pipelined = e.Journal.pipelined;
-    mii = e.Journal.mii;
-    trip_count = e.Journal.trip_count;
-  }
-
-let detach_journal () =
-  Mutex.lock journal_mutex;
-  let j = !journal in
-  journal := None;
-  Mutex.unlock journal_mutex;
-  match j with None -> () | Some t -> Journal.close t
-
-let attach_journal path =
-  detach_journal ();
-  let t, entries = Journal.open_for_resume path in
-  Mutex.lock cache_mutex;
-  List.iter
-    (fun (e : Journal.entry) ->
-      let k = e.Journal.key in
-      Hashtbl.replace loop_cache
-        (k.Journal.suite_id, k.Journal.index, k.Journal.buses, k.Journal.width,
-         k.Journal.registers, k.Journal.cycles)
-        (result_of_entry e))
-    entries;
-  Mutex.unlock cache_mutex;
-  Mutex.lock journal_mutex;
-  journal := Some t;
-  Mutex.unlock journal_mutex;
-  List.length entries
-
-let flush_journal () =
-  Mutex.lock journal_mutex;
-  let j = !journal in
-  Mutex.unlock journal_mutex;
-  match j with None -> () | Some t -> Journal.flush t
-
-let journal_append key r =
-  Mutex.lock journal_mutex;
-  let j = !journal in
-  Mutex.unlock journal_mutex;
-  match j with None -> () | Some t -> Journal.append t (entry_of_result key r)
-
-(* Persistent content-addressed store (see {!Store}).  Unlike the
-   journal — whose entries are bulk-replayed into [loop_cache] on
-   attach — the store is keyed by content hash, so it is consulted
-   lazily on each loop-cache miss: the hash needs the loop body, which
-   only the miss path holds.  Store hits become ordinary cache entries;
-   they are neither journaled (they were not evaluated by this run) nor
-   recorded in the provenance ledger (same rule as journal replays). *)
+(* Persistent content-addressed store (see {!Store}): the one
+   persistence layer, behind both crash-resume and warm start.  It is
+   keyed by content hash, so it is consulted lazily on each loop-cache
+   miss: the hash needs the loop body, which only the miss path holds.
+   Store hits become ordinary cache entries; they are not recorded in
+   the provenance ledger (they are not decisions of this run). *)
 let store : Store.t option ref = ref None
 
 let store_mutex = Mutex.create ()
@@ -452,6 +377,8 @@ let attach_store path =
   store := Some t;
   Mutex.unlock store_mutex;
   recovery
+
+let flush_store () = match current_store () with None -> () | Some s -> Store.flush s
 
 let store_dir () = match current_store () with None -> None | Some s -> Some (Store.dir s)
 
@@ -664,25 +591,18 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
             r
       in
       Mutex.unlock cache_mutex;
-      if clean && stored == r then begin
-        journal_append key r;
-        (* The store shares the journal's discipline — only the winning
-           clean evaluation persists; quarantined points must re-run.
-           An append racing a detach is dropped, not fatal. *)
-        match attached_store with
-        | Some st -> (
-            (* Flush per append: an evaluation costs far more than an
-               fsync, and a SIGKILLed process must not lose results it
-               already served (the warm-start guarantee). *)
-            try
-              Store.add st (store_entry_of_result point_hash r);
-              Store.flush st
-            with Invalid_argument _ -> ())
-        | None -> ()
-      end;
+      (* Only the winning clean evaluation persists; quarantined points
+         must re-run.  [Store.add] batches its fsyncs, so a kill loses
+         at most one batch, which a resume re-evaluates; the service
+         calls [flush_store] before each reply it sends.  An append
+         racing a detach is dropped, not fatal. *)
+      (match attached_store with
+      | Some st when clean && stored == r -> (
+          try Store.add st (store_entry_of_result point_hash r) with Invalid_argument _ -> ())
+      | _ -> ());
       (* Same first-store-wins discipline: only the winning evaluation
-         describes the point, and — unlike the journal — a quarantined
-         point is recorded too, exception tag and all. *)
+         describes the point, and a quarantined point is recorded too,
+         exception tag and all. *)
       if cap && stored == r then begin
         let wall_us = if wall then Some ((Obs.now_ns () - t0) / 1000) else None in
         Provenance.record

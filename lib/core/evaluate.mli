@@ -144,43 +144,21 @@ val quarantined_count : unit -> int
 
 val reset_quarantine : unit -> unit
 
-(** {2 Checkpoint/resume}
-
-    The journal (see {!Journal}) records each cleanly completed
-    loop-level point; attaching one replays its intact prefix into the
-    loop cache, so a re-run after a crash recomputes only the missing
-    points and — floats round-tripping through their bit patterns —
-    produces output byte-identical to an uninterrupted run.
-    Quarantined points are deliberately not journaled: a resume retries
-    them. *)
-
-val attach_journal : string -> int
-(** Open (creating if absent) a journal at the given path, replay its
-    intact prefix into the loop cache, and append every subsequent
-    clean evaluation to it.  Returns the number of points replayed.
-    Detaches any previously attached journal first.  Note that
-    {!clear_cache} drops replayed entries like any others; attach after
-    clearing. *)
-
-val detach_journal : unit -> unit
-(** Flush, close, and stop journaling.  No-op when none is attached. *)
-
-val flush_journal : unit -> unit
-(** Force buffered journal records to disk (also done on detach). *)
-
 (** {2 Persistent store}
 
-    The content-addressed result store (see {!Store}) is the cross-run
-    complement of the journal: keyed by {!Provenance.point_hash}, it is
-    consulted on every loop-cache miss and appended to on every clean
-    first-store-wins evaluation, so any process attached to the same
-    store directory — a restarted server, a fresh sweep — warm-starts
-    with zero re-evaluations for points it has seen.  Store hits become
-    ordinary cache entries: they are neither journaled nor emitted as
-    provenance records (they are not decisions of this run), and they
-    are not re-verified under {!set_verify} (the entry was verified, if
-    at all, by the run that evaluated it).  Quarantined points are
-    never stored; a later run retries them. *)
+    The content-addressed result store (see {!Store}) is the one
+    persistence layer behind both crash-resume and warm start.  Keyed
+    by {!Provenance.point_hash}, it is consulted on every loop-cache
+    miss and appended to on every clean first-store-wins evaluation, so
+    any process attached to the same store directory — a run restarted
+    after a crash, a restarted server, a fresh sweep — re-evaluates
+    only the points it has not seen.  Floats round-trip through their
+    bit patterns, so a resumed run's output is byte-identical to an
+    uninterrupted one.  Store hits become ordinary cache entries: they
+    are not emitted as provenance records (they are not decisions of
+    this run), and they are not re-verified under {!set_verify} (the
+    entry was verified, if at all, by the run that evaluated it).
+    Quarantined points are never stored; a later run retries them. *)
 
 val attach_store : string -> Store.recovery
 (** Open (creating if absent) a store directory, recover its segments,
@@ -191,6 +169,12 @@ val attach_store : string -> Store.recovery
 val detach_store : unit -> unit
 (** Flush, close, release the store's lockfile, and stop consulting
     it.  No-op when none is attached. *)
+
+val flush_store : unit -> unit
+(** Write out and fsync the attached store's buffered entries (appends
+    are fsynced in batches; detaching flushes too).  The service calls
+    this before each reply, so every answer a client holds is on disk.
+    No-op when none is attached. *)
 
 val store_dir : unit -> string option
 (** Directory of the attached store, if any. *)

@@ -20,8 +20,8 @@
     [--ledger-wall]; the field is absent otherwise) and any
     non-default backend whose budget expiry depends on the wall clock
     (the [exact]/[portfolio] statuses are documented as
-    best-effort).  A journal-resumed run re-emits records only for the
-    points it actually evaluated — replayed points are cache entries,
+    best-effort).  A run resumed from a store emits records only for
+    the points it actually evaluated — store hits are cache entries,
     not decisions of this run. *)
 
 type exact = {

@@ -20,6 +20,13 @@ type recovery = {
 
 exception Locked of string
 
+let describe_recovery r =
+  Printf.sprintf "%d entries in %d segment(s)%s%s" r.entries r.segments
+    (if r.quarantined_segments > 0 then Printf.sprintf ", %d quarantined" r.quarantined_segments
+     else "")
+    (if r.truncated_bytes > 0 then Printf.sprintf ", %d torn byte(s) truncated" r.truncated_bytes
+     else "")
+
 type t = {
   dir : string;
   lock : Wr_util.Lockfile.t;
@@ -43,9 +50,9 @@ let batch_records = 64
 
 let default_segment_records = 4096
 
-(* Same FNV-1a as the journal: every record line is self-checking and
-   the format needs no checksum library. *)
-let fnv1a64 = Journal.fnv1a64
+(* FNV-1a line checksums: every record line is self-checking and the
+   format needs no checksum library. *)
+let fnv1a64 = Wr_obs.Ledger.fnv1a64
 
 let line_of_entry e =
   let payload =

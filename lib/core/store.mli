@@ -1,23 +1,31 @@
-(** Persistent content-addressed result store: the crash-safe cache
-    behind warm-started studies and the query service.
+(** Persistent content-addressed result store: the one persistence
+    layer behind crash-resume, warm-started studies and the query
+    service.
 
-    Where {!Journal} checkpoints {e one run} (records keyed by the memo
-    coordinates, replayed wholesale on resume), the store is a
-    {e cross-run} cache keyed by {!Provenance.point_hash} — the FNV-1a
-    content hash of a point's full input.  Any process pointed at the
-    same directory ([--store], or the daemon's store) answers a point it
-    has seen before without re-running the scheduler, whether the
-    earlier writer was a batch sweep, a CLI run, or a server that was
-    [kill -9]ed mid-stream.
+    The store is keyed by {!Provenance.point_hash} — the FNV-1a content
+    hash of a point's full input.  Any process pointed at the same
+    directory ([--store], or the daemon's store) answers a point it has
+    seen before without re-running the scheduler, whether the earlier
+    writer was a batch sweep that was killed mid-run, a CLI run, or a
+    server that was [kill -9]ed mid-stream.  Resuming a crashed run is
+    re-running it on the same store.
 
     {2 On-disk format}
 
     A store is a directory of append-only segments
     ([seg-NNNNNN.wrs]) plus a single-writer pid lockfile ([LOCK], see
     {!Wr_util.Lockfile}).  Each segment begins with the version header
-    [wrstore/1] followed by one self-checking text line per entry (the
-    journal's FNV-1a line discipline); segments rotate after
+    [wrstore/1] followed by one self-checking text line per entry
+    (payload plus its FNV-1a checksum); segments rotate after
     [segment_records] entries so damage is compartmentalized.
+
+    {2 Durability}
+
+    {!add} buffers entries and writes and fsyncs them in batches of 64
+    records; {!flush} and {!close} write out the rest.  A killed writer
+    therefore loses at most its last unflushed batch, which a resumed
+    run simply re-evaluates.  The query service flushes before every
+    reply it sends, so any answer a client has received is on disk.
 
     {2 Recovery}
 
@@ -43,8 +51,7 @@
 
     Two distinct points with equal 64-bit hashes would alias; with
     FNV-1a 64 over the canonical point rendering the chance is
-    negligible at any realistic store size, and the journal — keyed by
-    coordinates, not content — remains the exact-resume mechanism. *)
+    negligible at any realistic store size. *)
 
 type entry = {
   hash : int64;  (** {!Provenance.point_hash} of the point's full input *)
@@ -65,6 +72,11 @@ type recovery = {
   quarantined_segments : int;  (** segments parked (whole or rewritten to their prefix) *)
   truncated_bytes : int;  (** torn tail dropped from the newest segment *)
 }
+
+val describe_recovery : recovery -> string
+(** One-line summary of an {!open_dir}, as bench, CLI and server print it:
+    ["N entries in S segment(s)"], plus the quarantined-segment and
+    torn-byte counts when they are non-zero. *)
 
 type t
 
@@ -87,7 +99,7 @@ val find : t -> int64 -> entry option
 
 val add : t -> entry -> unit
 (** Append one entry; a hash already present is ignored (first wins).
-    Buffered and fsynced in batches like the journal.  Thread-safe;
+    Buffered and fsynced in batches (see Durability).  Thread-safe;
     raises [Invalid_argument] if the store is closed. *)
 
 val length : t -> int

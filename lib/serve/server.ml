@@ -311,12 +311,18 @@ let process_point t ~id ~(p : P.point) ~loop ~key ~conn =
   in
   let outcome =
     (* A strict-mode failure (or any bug outside the quarantine net)
-       becomes an error reply on this request; the server survives. *)
+       becomes an error reply on this request; the server survives.
+       The store is flushed before any reply is sent, so an answer a
+       client holds is on disk whatever becomes of this process; a
+       failed flush is an error reply too. *)
     try
-      Ok
-        (with_budget t p (fun () ->
-             Evaluate.loop_cached ~suite_id:p.P.suite ~index:p.P.index p.P.config
-               ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop))
+      let r =
+        with_budget t p (fun () ->
+            Evaluate.loop_cached ~suite_id:p.P.suite ~index:p.P.index p.P.config
+              ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop)
+      in
+      Evaluate.flush_store ();
+      Ok r
     with
     | Out_of_memory -> raise Out_of_memory
     | e -> Error (Printexc.to_string e)
@@ -344,10 +350,13 @@ let process_point t ~id ~(p : P.point) ~loop ~key ~conn =
 let process_agg t ~id ~(p : P.point) ~loops ~conn =
   let outcome =
     try
-      Ok
-        (with_budget t p (fun () ->
-             Evaluate.suite_on ~suite_id:p.P.suite p.P.config ~cycle_model:p.P.cycle_model
-               ~registers:p.P.registers loops))
+      let a =
+        with_budget t p (fun () ->
+            Evaluate.suite_on ~suite_id:p.P.suite p.P.config ~cycle_model:p.P.cycle_model
+              ~registers:p.P.registers loops)
+      in
+      Evaluate.flush_store ();
+      Ok a
     with
     | Out_of_memory -> raise Out_of_memory
     | e -> Error (Printexc.to_string e)
@@ -442,14 +451,7 @@ let run cfg =
   | None -> ()
   | Some dir ->
       let r = Evaluate.attach_store dir in
-      Printf.eprintf "[serve] store %s: %d entries in %d segment(s)%s%s\n%!" dir
-        r.Store.entries r.Store.segments
-        (if r.Store.quarantined_segments > 0 then
-           Printf.sprintf ", %d quarantined" r.Store.quarantined_segments
-         else "")
-        (if r.Store.truncated_bytes > 0 then
-           Printf.sprintf ", %d torn byte(s) truncated" r.Store.truncated_bytes
-         else ""));
+      Printf.eprintf "[serve] store %s: %s\n%!" dir (Store.describe_recovery r));
   if cfg.ledger <> None then Core.Provenance.set_capture true;
   if cfg.metrics <> None || cfg.trace <> None then Obs.set_enabled true;
   let lfd = bind_listener cfg.listen in

@@ -38,7 +38,9 @@
     {2 Warm starts}
 
     With [store] set, every clean evaluation is appended to the
-    persistent store and every miss consults it, so a server killed
+    persistent store and every miss consults it.  The store is flushed
+    (written and fsynced) before each eval or suite reply is sent, so
+    any answer a client has received is on disk, and a server killed
     with [SIGKILL] and restarted on the same directory (the stale lock
     is broken automatically) answers repeated queries byte-identically
     with zero re-evaluations; the store's recovery pass truncates any

@@ -1,11 +1,10 @@
 (* Resilience layer: supervised evaluation (quarantine + degraded
    fallback), deterministic fault injection, cooperative budgets, and
-   the journaled checkpoint/resume path. *)
+   crash-resume through the persistent result store. *)
 
 module Config = Wr_machine.Config
 module Cycle_model = Wr_machine.Cycle_model
 module Evaluate = Core.Evaluate
-module Journal = Core.Journal
 module Store = Core.Store
 module Fault = Wr_util.Fault
 module Pool = Wr_util.Pool
@@ -22,7 +21,6 @@ let fresh () =
   Fault.configure [];
   Evaluate.set_strict false;
   Evaluate.set_loop_budget_ms None;
-  Evaluate.detach_journal ();
   Evaluate.detach_store ();
   Evaluate.reset_quarantine ();
   Evaluate.clear_cache ()
@@ -120,94 +118,6 @@ let contains hay needle =
   nn = 0 || go 0
 
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-let with_tmp_journal f =
-  let path = Filename.temp_file "wrj-test" ".journal" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let test_journal_roundtrip () =
-  with_clean_state @@ fun () ->
-  with_tmp_journal @@ fun path ->
-  with_pool 2 @@ fun pool ->
-  let replayed0 = Evaluate.attach_journal path in
-  Alcotest.(check int) "fresh journal replays nothing" 0 replayed0;
-  let agg1 = Evaluate.suite_on ~pool ~suite_id:"res-journal" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  let evals = Evaluate.evaluations () in
-  (* Cold cache + journal: every point must come back from the replay,
-     with the scheduler never invoked. *)
-  Evaluate.clear_cache ();
-  let replayed = Evaluate.attach_journal path in
-  Alcotest.(check int) "all points replayed" (Array.length loops) replayed;
-  let agg2 = Evaluate.suite_on ~pool ~suite_id:"res-journal" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  Alcotest.(check int) "no re-evaluation after replay" evals (Evaluate.evaluations ());
-  Alcotest.(check bool) "bit-identical aggregate from replay" true (agg1 = agg2)
-
-let test_journal_torn_tail () =
-  with_clean_state @@ fun () ->
-  with_tmp_journal @@ fun path ->
-  with_pool 2 @@ fun pool ->
-  ignore (Evaluate.attach_journal path);
-  let agg1 = Evaluate.suite_on ~pool ~suite_id:"res-torn" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  let intact = read_file path in
-  (* Simulate a crash mid-write: chop the last record in half.  Replay
-     must keep the intact prefix, drop the torn line, and recompute
-     exactly the lost point. *)
-  write_file path (String.sub intact 0 (String.length intact - 7));
-  Evaluate.clear_cache ();
-  let replayed = Evaluate.attach_journal path in
-  Alcotest.(check int) "one record lost to the torn tail" (Array.length loops - 1) replayed;
-  let agg2 = Evaluate.suite_on ~pool ~suite_id:"res-torn" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  Alcotest.(check bool) "resumed run matches the uninterrupted one" true (agg1 = agg2);
-  (* Garbage appended by a corrupt writer is likewise discarded. *)
-  let healthy = read_file path in
-  write_file path (healthy ^ "wrj1 not a real record\n\x00\x01partial");
-  Evaluate.clear_cache ();
-  let replayed = Evaluate.attach_journal path in
-  Evaluate.detach_journal ();
-  Alcotest.(check int) "garbage tail discarded" (Array.length loops) replayed
-
-let test_quarantined_points_not_journaled () =
-  with_clean_state @@ fun () ->
-  with_tmp_journal @@ fun path ->
-  with_pool 2 @@ fun pool ->
-  Fault.configure [ raise_all_spec ];
-  ignore (Evaluate.attach_journal path);
-  ignore (Evaluate.suite_on ~pool ~suite_id:"res-q-journal" cfg ~cycle_model:cm ~registers:64 loops);
-  Evaluate.detach_journal ();
-  Alcotest.(check int) "faulted run quarantined everything" (Array.length loops)
-    (Evaluate.quarantined_count ());
-  (* Resume without the fault: the degraded points were not journaled,
-     so they are retried and now succeed. *)
-  Fault.configure [];
-  Evaluate.reset_quarantine ();
-  Evaluate.clear_cache ();
-  let replayed = Evaluate.attach_journal path in
-  Alcotest.(check int) "degraded points were not checkpointed" 0 replayed;
-  let agg = Evaluate.suite_on ~pool ~suite_id:"res-q-journal" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  Alcotest.(check int) "retried points now pipeline" 0 agg.Evaluate.unpipelined
-
-let test_journal_second_attach_locked () =
-  with_clean_state @@ fun () ->
-  with_tmp_journal @@ fun path ->
-  ignore (Evaluate.attach_journal path);
-  (* A second writer would interleave appends and corrupt the record
-     stream silently; the lockfile turns it into a diagnostic.  A raw
-     second handle in this process stands in for the second process. *)
-  (match Journal.open_for_resume path with
-  | exception Journal.Locked msg ->
-      Alcotest.(check bool) "diagnostic names the journal" true (contains msg path)
-  | t, _ ->
-      Journal.close t;
-      Alcotest.fail "second attach succeeded");
-  Evaluate.detach_journal ();
-  (* Released on detach: attaching again works. *)
-  ignore (Evaluate.attach_journal path);
-  Evaluate.detach_journal ()
 
 (* --- persistent content-addressed store -------------------------------- *)
 
@@ -419,6 +329,42 @@ let test_store_warm_start_zero_evaluations () =
   let s = Evaluate.cache_stats `Store in
   Alcotest.(check int) "every point a store hit" (Array.length loops) s.Evaluate.hits
 
+let test_store_resume_after_torn_tail () =
+  with_clean_state @@ fun () ->
+  with_tmp_dir @@ fun root ->
+  let dir = Filename.concat root "store" in
+  with_pool 2 @@ fun pool ->
+  let run () = Evaluate.suite_on ~pool ~suite_id:"res-torn" cfg ~cycle_model:cm ~registers:64 loops in
+  ignore (Evaluate.attach_store dir);
+  let agg1 = run () in
+  Evaluate.detach_store ();
+  (* Resume = cold caches, same store, same run. *)
+  let resume () =
+    Evaluate.clear_cache ();
+    let r = Evaluate.attach_store dir in
+    let evals = Evaluate.evaluations () in
+    let agg = run () in
+    Evaluate.detach_store ();
+    (r, Evaluate.evaluations () - evals, agg)
+  in
+  (* Simulate a crash mid-write: chop the last record in half.  The
+     resumed run keeps the intact prefix, drops the torn line, and
+     re-evaluates exactly the lost point. *)
+  let newest = seg dir 1 in
+  let intact = read_file newest in
+  write_file newest (String.sub intact 0 (String.length intact - 7));
+  let r, evals, agg2 = resume () in
+  Alcotest.(check bool) "torn bytes truncated" true (r.Store.truncated_bytes > 0);
+  Alcotest.(check int) "exactly the torn point re-evaluated" 1 evals;
+  Alcotest.(check bool) "resumed run matches the uninterrupted one" true (agg1 = agg2);
+  (* Garbage appended by a corrupt writer is likewise discarded. *)
+  write_file newest (read_file newest ^ "junk\n\x00\x01partial");
+  let r, evals, agg3 = resume () in
+  Alcotest.(check bool) "garbage tail truncated" true (r.Store.truncated_bytes > 0);
+  Alcotest.(check int) "every point survives the garbage" (Array.length loops) r.Store.entries;
+  Alcotest.(check int) "nothing re-evaluated" 0 evals;
+  Alcotest.(check bool) "aggregate unchanged" true (agg1 = agg3)
+
 let test_store_quarantined_points_not_stored () =
   with_clean_state @@ fun () ->
   with_tmp_dir @@ fun root ->
@@ -498,15 +444,6 @@ let () =
           Alcotest.test_case "strict mode fails fast" `Quick test_strict_mode_fails_fast;
           Alcotest.test_case "budget overrun degrades" `Quick test_budget_overrun_degrades;
         ] );
-      ( "journal",
-        [
-          Alcotest.test_case "roundtrip replay" `Quick test_journal_roundtrip;
-          Alcotest.test_case "torn tail tolerated" `Quick test_journal_torn_tail;
-          Alcotest.test_case "quarantined points retried on resume" `Quick
-            test_quarantined_points_not_journaled;
-          Alcotest.test_case "second attach fails loudly" `Quick
-            test_journal_second_attach_locked;
-        ] );
       ( "store",
         [
           Alcotest.test_case "roundtrip across segments" `Quick test_store_roundtrip;
@@ -522,6 +459,7 @@ let () =
             test_store_compact_canonical_bytes;
           Alcotest.test_case "warm start re-evaluates nothing" `Quick
             test_store_warm_start_zero_evaluations;
+          Alcotest.test_case "resume after a torn tail" `Quick test_store_resume_after_torn_tail;
           Alcotest.test_case "quarantined points not persisted" `Quick
             test_store_quarantined_points_not_stored;
           Alcotest.test_case "canonical bytes independent of jobs" `Quick

@@ -21,7 +21,6 @@ let clean () =
   Fault.configure [];
   Evaluate.set_strict false;
   Evaluate.set_loop_budget_ms None;
-  Evaluate.detach_journal ();
   Evaluate.detach_store ();
   Evaluate.reset_quarantine ();
   Evaluate.clear_cache ()
@@ -303,6 +302,34 @@ let test_server_store_warm_start () =
   Alcotest.(check int) "zero re-evaluations" evals (Evaluate.evaluations ());
   stop_server sock2 th2
 
+let test_server_reply_is_durable () =
+  with_clean_state @@ fun () ->
+  with_tmp_dir @@ fun root ->
+  let store = Filename.concat root "store" in
+  let req = P.req_eval ~suite:"sample5" ~index:3 ~config:"4w2(64)" () in
+  let sock, th = start_server ~store () in
+  let r = query_ok sock req in
+  (* The live server still holds the store's lock, so read the segment
+     straight from disk: a reply is an acknowledgement, and the served
+     record must already be there rather than waiting in the append
+     batch. *)
+  let segment =
+    In_channel.with_open_bin (Filename.concat store "seg-000001.wrs") In_channel.input_all
+  in
+  stop_server sock th;
+  Alcotest.(check string) "answer is fresh" "fresh" (member_str "source" r);
+  let p = match (parse_ok req).P.req with P.Eval p -> p | _ -> assert false in
+  let hash =
+    Core.Provenance.point_hash ~suite_id:p.P.suite ~index:p.P.index ~config:p.P.config
+      ~registers:p.P.registers ~cycle_model:p.P.cycle_model (Wr_workload.Suite.sample 5).(3)
+  in
+  match String.split_on_char '\n' segment with
+  | [ header; record; "" ] ->
+      Alcotest.(check string) "version header" Core.Store.version_tag header;
+      Alcotest.(check bool) "the served point's record" true
+        (String.starts_with ~prefix:(Printf.sprintf "e %Lx " hash) record)
+  | lines -> Alcotest.failf "expected header + one record, got %d line(s)" (List.length lines)
+
 let test_server_coalesces_duplicates () =
   with_clean_state @@ fun () ->
   (* Slow evaluation down so concurrent duplicates overlap in flight. *)
@@ -399,6 +426,7 @@ let () =
           Alcotest.test_case "lifecycle over a unix socket" `Quick test_server_lifecycle;
           Alcotest.test_case "store warm start across restart" `Quick
             test_server_store_warm_start;
+          Alcotest.test_case "served reply is on disk" `Quick test_server_reply_is_durable;
           Alcotest.test_case "duplicate requests coalesce" `Quick
             test_server_coalesces_duplicates;
           Alcotest.test_case "overload sheds explicitly" `Quick
