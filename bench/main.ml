@@ -8,56 +8,46 @@
      dune exec bench/main.exe all --no-timing -- skip the Bechamel runs
      dune exec bench/main.exe fig3 --jobs 4   -- evaluation pool of 4 domains
      dune exec bench/main.exe parspeed        -- sequential-vs-parallel wall time
-     dune exec bench/main.exe all --json BENCH.json   -- machine-readable timings *)
+     dune exec bench/main.exe all --json BENCH.json   -- machine-readable timings
+     dune exec bench/main.exe -- --help       -- every mode and option
+
+   The run options (-s, --jobs, --store, --verify, ...) and the figure
+   and study experiments are shared with widening-cli (lib/run); this
+   file adds the engine modes, Bechamel timing, and the ledger and
+   artifact tools. *)
 
 open Bechamel
 open Toolkit
+open Cmdliner
 
 module Config = Wr_machine.Config
 module Cycle_model = Wr_machine.Cycle_model
 module B = Core.Bench_schema
 
 (* ------------------------------------------------------------------ *)
-(* Command line                                                        *)
-
-let experiments =
-  [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "fig2"; "fig3"; "fig4";
-    "fig6"; "fig7"; "fig8"; "fig9"; "conclusion"; "ablation-compact"; "ablation-levers";
-    "ablation-rotating"; "ablation-ordering"; "icache"; "traffic"; "dcache"; "balance";
-    "endtoend"; "gap"; "parspeed"; "schedmicro"; "interpmicro"; "fuzz"; "profile" ]
-
-(* Exit codes (documented in the README): 0 success, 1 usage error,
-   2 runtime failure (mismatch, oracle violation, uncaught exception —
-   the OCaml runtime itself exits 2 on the latter), 3 completed with
-   quarantined (degraded) points. *)
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [all|%s] [-s N] [--no-timing] [--csv DIR] [--jobs N] [--json FILE] \
-     [--verify] [--strict] [--store DIR] [--loop-budget-ms N] [--cases N] [--fuzz-seed N] \
-     [--trace FILE] [--metrics FILE] [--backend heuristic|exact|portfolio] [--backend-diff] \
-     [--ledger FILE] [--ledger-wall]\n\
-     \       main.exe report LEDGER\n\
-     \       main.exe diff OLD NEW [--threshold PCT]\n\
-     \       main.exe validate BENCH.json...\n"
-    (String.concat "|" experiments);
-  exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Ledger and schema tool modes: positional file arguments, handled
-   before the experiment CLI.  [report] renders one run's ledger as a
+(* Ledger and schema tools: [report] renders one run's ledger as a
    dashboard; [diff] joins two ledgers (or two BENCH_*.json artifacts
    of the same kind) and exits 2 iff a regression-class divergence
    survives the threshold; [validate] checks BENCH artifacts against
-   the wr-bench/%s envelope. *)
+   the wr-bench/2 envelope. *)
 
-let diff_threshold rest =
+let report path =
+  match Core.Provenance.load path with
+  | Ok records ->
+      print_string (Core.Observatory.report records);
+      0
+  | Error msg ->
+      Printf.eprintf "%s: %s\n" path msg;
+      2
+
+let diff_threshold threshold =
   (* WR_DIFF_THRESHOLD sets the default; an explicit --threshold wins.
      Both are percentages, and malformed values warn once and fall
      back rather than silently gating on 0. *)
   let default = Wr_util.Env.float ~min:0.0 ~default:0.0 "WR_DIFF_THRESHOLD" in
-  match rest with
-  | [] -> default
-  | [ "--threshold"; v ] -> (
+  match threshold with
+  | None -> default
+  | Some v -> (
       match float_of_string_opt (String.trim v) with
       | Some t when t >= 0.0 -> t
       | _ ->
@@ -65,7 +55,6 @@ let diff_threshold rest =
             ~expected:"a non-negative percentage"
             ~default:(Printf.sprintf "%g" default);
           default)
-  | _ -> usage ()
 
 let load_any path =
   (* Ledgers and bench artifacts are both strict JSON; dispatch on
@@ -80,188 +69,48 @@ let load_any path =
             ledger_err bench_err;
           exit 2)
 
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: "report" :: [ path ] -> (
-      match Core.Provenance.load path with
-      | Ok records ->
-          print_string (Core.Observatory.report records);
-          exit 0
-      | Error msg ->
-          Printf.eprintf "%s: %s\n" path msg;
-          exit 2)
-  | _ :: "report" :: _ -> usage ()
-  | _ :: "diff" :: old_path :: new_path :: rest ->
-      let threshold_pct = diff_threshold rest in
-      let ds =
-        match (load_any old_path, load_any new_path) with
-        | `Ledger o, `Ledger n -> Core.Observatory.diff ~threshold_pct o n
-        | `Bench o, `Bench n -> (
-            match Core.Observatory.diff_bench ~threshold_pct o n with
-            | Ok ds -> ds
-            | Error msg ->
-                Printf.eprintf "diff: %s\n" msg;
-                exit 2)
-        | _ ->
-            Printf.eprintf "diff: %s and %s are not artifacts of the same kind\n" old_path
-              new_path;
-            exit 2
-      in
-      print_string (Core.Observatory.render_diff ds);
-      exit (if Core.Observatory.has_regressions ds then 2 else 0)
-  | _ :: "diff" :: _ -> usage ()
-  | _ :: "validate" :: (_ :: _ as paths) ->
-      let failed = ref false in
-      List.iter
-        (fun path ->
-          match Result.bind (Core.Bench_schema.load_file path) Core.Bench_schema.validate with
-          | Ok kind -> Printf.printf "%s: ok (%s, kind %s)\n" path Core.Bench_schema.version kind
-          | Error msg ->
-              failed := true;
-              Printf.printf "%s: INVALID — %s\n" path msg)
-        paths;
-      exit (if !failed then 2 else 0)
-  | _ :: [ "validate" ] -> usage ()
-  | _ -> ()
-
-let ( selected,
-      sample_size,
-      with_timing,
-      csv_dir,
-      jobs_flag,
-      json_path,
-      verify_flag,
-      strict_flag,
-      store_dir,
-      loop_budget_ms,
-      fuzz_cases,
-      fuzz_seed,
-      trace_path,
-      metrics_path,
-      backend_flag,
-      backend_diff,
-      ledger_path,
-      ledger_wall ) =
-  let selected = ref None and sample = ref None and timing = ref true in
-  let csv = ref None and jobs = ref None and json = ref None in
-  let verify = ref false and cases = ref 200 and seed = ref 0x5EEDL in
-  let strict = ref false and budget = ref None and store = ref None in
-  let trace = ref None and metrics = ref None in
-  let backend = ref None and diff = ref false in
-  let ledger = ref None and lwall = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "-s" :: n :: rest ->
-        (match int_of_string_opt n with Some v -> sample := Some v | None -> usage ());
-        parse rest
-    | "--no-timing" :: rest ->
-        timing := false;
-        parse rest
-    | "--verify" :: rest ->
-        verify := true;
-        parse rest
-    | "--strict" :: rest ->
-        strict := true;
-        parse rest
-    | "--store" :: dir :: rest ->
-        store := Some dir;
-        parse rest
-    | "--loop-budget-ms" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v >= 1 -> budget := Some v
-        | _ -> usage ());
-        parse rest
-    | "--trace" :: path :: rest ->
-        trace := Some path;
-        parse rest
-    | "--metrics" :: path :: rest ->
-        metrics := Some path;
-        parse rest
-    | "--cases" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v >= 1 -> cases := v
-        | _ -> usage ());
-        parse rest
-    | "--fuzz-seed" :: n :: rest ->
-        (match Int64.of_string_opt n with Some v -> seed := v | None -> usage ());
-        parse rest
-    | "--csv" :: dir :: rest ->
-        csv := Some dir;
-        parse rest
-    | "--jobs" :: n :: rest | "-j" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v >= 1 -> jobs := Some v
-        | _ -> usage ());
-        parse rest
-    | "--json" :: path :: rest ->
-        json := Some path;
-        parse rest
-    | "--backend" :: name :: rest ->
-        (match Wr_sched.Backend.of_string name with
-        | Some k -> backend := Some k
-        | None -> usage ());
-        parse rest
-    | "--backend-diff" :: rest ->
-        diff := true;
-        parse rest
-    | "--ledger" :: path :: rest ->
-        ledger := Some path;
-        parse rest
-    | "--ledger-wall" :: rest ->
-        lwall := true;
-        parse rest
-    (* One experiment per invocation: a second name is a usage error,
-       not a silent override of the first. *)
-    | id :: rest when !selected = None && (id = "all" || List.mem id experiments) ->
-        selected := Some id;
-        parse rest
-    | _ -> usage ()
+let diff old_path new_path threshold =
+  let threshold_pct = diff_threshold threshold in
+  let ds =
+    match (load_any old_path, load_any new_path) with
+    | `Ledger o, `Ledger n -> Core.Observatory.diff ~threshold_pct o n
+    | `Bench o, `Bench n -> (
+        match Core.Observatory.diff_bench ~threshold_pct o n with
+        | Ok ds -> ds
+        | Error msg ->
+            Printf.eprintf "diff: %s\n" msg;
+            exit 2)
+    | _ ->
+        Printf.eprintf "diff: %s and %s are not artifacts of the same kind\n" old_path new_path;
+        exit 2
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  ( Option.value !selected ~default:"all", !sample, !timing, !csv, !jobs, !json, !verify,
-    !strict, !store, !budget, !cases, !seed, !trace, !metrics, !backend, !diff, !ledger, !lwall )
+  print_string (Core.Observatory.render_diff ds);
+  if Core.Observatory.has_regressions ds then 2 else 0
 
-let () = Option.iter Wr_util.Pool.set_default_jobs jobs_flag
+let validate paths =
+  List.fold_left
+    (fun code path ->
+      match Result.bind (Core.Bench_schema.load_file path) Core.Bench_schema.validate with
+      | Ok kind ->
+          Printf.printf "%s: ok (%s, kind %s)\n" path Core.Bench_schema.version kind;
+          code
+      | Error msg ->
+          Printf.printf "%s: INVALID — %s\n" path msg;
+          2)
+    0 paths
 
-let () = Option.iter Wr_sched.Backend.set backend_flag
+(* ------------------------------------------------------------------ *)
+(* Run state                                                           *)
 
-let () = if verify_flag then Core.Evaluate.set_verify true
-
-let () = if strict_flag then Core.Evaluate.set_strict true
-
-(* Provenance capture turns on with --ledger; wall times stay off
-   unless explicitly requested (they break ledger byte-identity). *)
-let () = if ledger_path <> None then Core.Provenance.set_capture true
-
-let () = if ledger_wall then Core.Provenance.set_wall true
-
-let () = Core.Evaluate.set_loop_budget_ms loop_budget_ms
-
-(* --store falls back to WR_STORE, mirroring the CLI. *)
-let store_dir =
-  match store_dir with
-  | Some _ as s -> s
-  | None -> ( match Sys.getenv_opt "WR_STORE" with Some "" | None -> None | s -> s)
-
-let () =
-  Option.iter
-    (fun dir ->
-      match Core.Evaluate.attach_store dir with
-      | r ->
-          Printf.printf "[store] %s: %s\n%!" dir (Core.Store.describe_recovery r)
-      | exception Core.Store.Locked msg ->
-          prerr_endline msg;
-          exit 2)
-    store_dir
-
-(* Telemetry turns on before any experiment runs: either output flag
-   requests it, and the profile mode needs it regardless. *)
-let () =
-  if trace_path <> None || metrics_path <> None || selected = "profile" then
-    Wr_obs.Obs.set_enabled true
-
-let effective_jobs () =
-  match jobs_flag with Some j -> j | None -> Wr_util.Pool.default_jobs ()
+(* The harness's own flags; the run options are a [Run.t]. *)
+type flags = {
+  timing : bool;
+  csv_dir : string option;
+  json : string option;
+  cases : int;
+  fuzz_seed : int64;
+  backend_diff : bool;
+}
 
 (* --json collects per-experiment wall times and Bechamel estimates so
    the perf trajectory can be tracked across commits (BENCH_*.json). *)
@@ -278,53 +127,34 @@ let bechamel_estimates : (string * float) list ref = ref []
 
 let record_wall id seconds = wall_times := (id, seconds) :: !wall_times
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json path ~suite_id ~loops =
-  let entries fmt l =
-    String.concat ",\n"
-      (List.rev_map (fun (name, v) -> Printf.sprintf fmt (json_escape name) v) l)
+let write_json path opts (suite : Run.suite) =
+  let entries key (field, fmt) l =
+    let entry (name, v) =
+      B.Obj [ (key, B.str name); (field, B.float ~fmt:(Printf.sprintf fmt) v) ]
+    in
+    B.List (List.rev_map entry l)
   in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc
-        "{\n  \"suite\": \"%s\",\n  \"loops\": %d,\n  \"jobs\": %d,\n  \"experiments\": [\n%s\n  ],\n\
-        \  \"bechamel\": [\n%s\n  ]\n}\n"
-        (json_escape suite_id) (Array.length loops) (effective_jobs ())
-        (entries "    { \"id\": \"%s\", \"wall_s\": %.3f }" !wall_times)
-        (entries "    { \"name\": \"%s\", \"ms_per_run\": %.6f }" !bechamel_estimates));
+  B.write_file path
+    (B.Obj
+       [
+         ("suite", B.str suite.Run.id);
+         ("loops", B.int (Array.length suite.Run.loops));
+         ("jobs", B.int (Run.jobs opts));
+         ("experiments", entries "id" ("wall_s", "%.3f") !wall_times);
+         ("bechamel", entries "name" ("ms_per_run", "%.6f") !bechamel_estimates);
+       ]);
   Printf.printf "[json] wrote %s\n%!" path
 
-(* CSV export: one file per experiment, for downstream plotting. *)
-let write_csv name header rows =
-  match csv_dir with
+(* CSV export: one file per table, for downstream plotting. *)
+let write_csv flags (t : Run.table) =
+  match flags.csv_dir with
   | None -> ()
   | Some dir ->
       (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let path = Filename.concat dir (name ^ ".csv") in
+      let path = Filename.concat dir (t.Run.name ^ ".csv") in
       Out_channel.with_open_text path (fun oc ->
-          output_string oc (String.concat "," header ^ "\n");
-          List.iter (fun row -> output_string oc (String.concat "," row ^ "\n")) rows);
-      Printf.printf "  [csv] wrote %s (%d rows)\n%!" path (List.length rows)
-
-let loops, suite_id =
-  match sample_size with
-  | None -> (Wr_workload.Suite.perfect_club_like (), "full")
-  | Some n -> (Wr_workload.Suite.sample n, Printf.sprintf "sample%d" n)
-
-(* A small fixed slice for the timing runs: big enough to exercise the
-   machinery, small enough for sub-second Bechamel quotas. *)
-let timing_loops = Wr_workload.Suite.sample 30
+          output_string oc (Core.Csv_export.to_string ~header:t.Run.header t.Run.rows));
+      Printf.printf "  [csv] wrote %s (%d rows)\n%!" path (List.length t.Run.rows)
 
 let fresh_suite_id =
   let counter = ref 0 in
@@ -350,152 +180,108 @@ let time_test name staged =
       | _ -> Printf.printf "  [bechamel] %s: no estimate\n%!" key)
     results
 
+(* The timed core of each experiment, on a small fixed slice: big
+   enough to exercise the machinery, small enough for sub-second
+   Bechamel quotas. *)
+let time_experiment id =
+  let timing_loops = Wr_workload.Suite.sample 30 in
+  (match id with
+  | "table1" | "table6" -> time_test (id ^ "/render") (fun () -> Core.Cost_tables.table1 ())
+  | "table2" ->
+      time_test "table2/cell-model" (fun () ->
+          List.iter
+            (fun ((r, w), _) -> ignore (Wr_cost.Register_cell.area ~reads:r ~writes:w))
+            Wr_cost.Register_cell.paper_table)
+  | "table3" | "fig4" ->
+      time_test "area-model/grid" (fun () ->
+          List.iter
+            (fun c -> ignore (Wr_cost.Area.total_area c))
+            (Config.paper_grid ~max_factor:16 ~registers:[ 32; 64; 128; 256 ]))
+  | "table4" ->
+      time_test "access-time/grid" (fun () ->
+          List.iter
+            (fun c -> ignore (Wr_cost.Access_time.relative c))
+            (Config.paper_grid ~max_factor:16 ~registers:[ 32; 64; 128; 256 ]))
+  | "table5" ->
+      time_test "table5/implementability" (fun () -> ignore (Core.Implementability.run ()))
+  | "fig2" ->
+      time_test "fig2/peak-rates-30-loops" (fun () ->
+          ignore (Core.Peak_study.run ~max_factor:16 timing_loops))
+  | "fig3" ->
+      time_test "fig3/pipeline-4w2-64-30-loops" (fun () ->
+          ignore
+            (Core.Evaluate.suite_on ~suite_id:(fresh_suite_id ())
+               (Config.xwy ~registers:64 ~x:4 ~y:2 ())
+               ~cycle_model:Cycle_model.Cycles_4 ~registers:64 timing_loops))
+  | "fig6" ->
+      time_test "fig6/partition-model" (fun () ->
+          List.iter
+            (fun n ->
+              let c = Config.xwy ~registers:64 ~partitions:n ~x:8 ~y:1 () in
+              ignore (Wr_cost.Area.rf_area c);
+              ignore (Wr_cost.Access_time.raw_time c))
+            [ 1; 2; 4; 8 ])
+  | "fig7" ->
+      time_test "fig7/code-size-30-loops" (fun () ->
+          ignore (Core.Code_size_study.run ~suite_id:(fresh_suite_id ()) timing_loops))
+  | "fig8" | "fig9" | "conclusion" ->
+      time_test (id ^ "/tradeoff-point-30-loops") (fun () ->
+          ignore
+            (Core.Tradeoff.evaluate ~suite_id:(fresh_suite_id ()) timing_loops
+               (Config.xwy ~registers:128 ~partitions:2 ~x:2 ~y:2 ())))
+  | "endtoend" ->
+      time_test "endtoend/sim-daxpy-2w2-100-iters" (fun () ->
+          match
+            Wr_vliw.Sim.check_against_reference
+              (Wr_workload.Kernels.daxpy ())
+              (Config.xwy ~x:2 ~y:2 ())
+              ~iterations:100
+          with
+          | Ok _ -> ()
+          | Error msg -> failwith msg)
+  | "ablation-rotating" ->
+      time_test "ablation/mve-allocate-30-loops" (fun () ->
+          Array.iter
+            (fun (loop : Wr_ir.Loop.t) ->
+              let r =
+                Wr_sched.Modulo.run
+                  (Wr_machine.Resource.of_config (Config.xwy ~x:2 ~y:1 ()))
+                  ~cycle_model:Cycle_model.Cycles_4 loop.Wr_ir.Loop.ddg
+              in
+              ignore
+                (Wr_vliw.Codegen.allocate loop.Wr_ir.Loop.ddg r.Wr_sched.Modulo.schedule))
+            timing_loops)
+  | _ -> ())
+
 (* ------------------------------------------------------------------ *)
-(* Experiments: printed output + timing payload                        *)
+(* Engine modes: checks and microbenchmarks of the engine itself, not
+   figures of the paper.                                               *)
 
 let paper_note s = print_string ("NOTE: " ^ s ^ "\n")
 
-let run_experiment id =
-  Printf.printf "==================================================================\n";
-  Printf.printf "=== %s\n==================================================================\n%!" id;
-  let started = Unix.gettimeofday () in
-  (match id with
-  | "table1" ->
-      print_string (Core.Cost_tables.table1 ());
-      paper_note "Paper: Table 1 is input data (SIA 1994 roadmap); reproduced exactly."
-  | "table2" ->
-      print_string (Core.Cost_tables.table2 ());
-      paper_note
-        "Paper: cells 50x41 .. 568x257; the piecewise-linear model is anchored on the five \
-         published cells (exact)."
-  | "table3" ->
-      print_string (Core.Cost_tables.table3 ());
-      paper_note "Paper: 598 / 375 / 215 x10^6 lambda^2 - reproduced within 1%."
-  | "table4" ->
-      print_string (Core.Cost_tables.table4 ());
-      write_csv "table4"
-        [ "buses"; "width"; "registers"; "model"; "paper" ]
-        (List.map
-           (fun ((x, y, z), model, paper) ->
-             [
-               string_of_int x; string_of_int y; string_of_int z;
-               Printf.sprintf "%.4f" model; Printf.sprintf "%.2f" paper;
-             ])
-           (Core.Cost_tables.table4_pairs ()));
-      paper_note
-        "Paper: 60 relative access times; fitted model reproduces them at 3.6% rms (max 8.9%)."
-  | "table5" ->
-      print_string (Core.Implementability.to_text (Core.Implementability.run ()));
-      print_string "With the conservative 10% area budget instead:\n";
-      print_string (Core.Implementability.to_text (Core.Implementability.run ~budget:0.10 ()));
-      paper_note
-        "Paper: Table 5 symbols; same 20%-of-die rule, same grid.  Cell-model extrapolation \
-         shifts a few borderline entries by one generation."
-  | "table6" ->
-      print_string (Core.Cost_tables.table6 ());
-      paper_note "Paper: Table 6 is input data (latency adaptation); reproduced exactly."
-  | "fig2" ->
-      let t = Core.Peak_study.run loops in
-      print_string (Core.Peak_study.to_text t);
-      write_csv "fig2" Core.Csv_export.fig2_header (Core.Csv_export.fig2_rows t);
-      paper_note
-        "Paper shape: Xw1 saturates near 10, 1wY near 5, 2wY in between; Xw2 tracks Xw1 \
-         closely."
-  | "fig3" ->
-      let t = Core.Spill_study.run ~suite_id loops in
-      print_string (Core.Spill_study.to_text t);
-      write_csv "fig3" Core.Csv_export.fig3_header (Core.Csv_export.fig3_rows t);
-      let fams =
-        Core.Spill_study.run_families ~suite_id (Wr_workload.Suite.families_for ~sample:sample_size)
-      in
-      List.iter
-        (fun (name, ft) ->
-          Printf.printf "---- family %s ----\n%s" name (Core.Spill_study.to_text ft))
-        fams;
-      write_csv "fig3_families" Core.Csv_export.fig3_families_header
-        (Core.Csv_export.fig3_families_rows fams);
-      paper_note
-        "Paper shape: 8w1/32 unschedulable; 4w2 beats 8w1 at 64 and 128 registers; 1w2 \
-         saturates by 64 registers."
-  | "fig4" ->
-      print_string (Core.Cost_tables.figure4 ());
-      paper_note "Paper: area of RF+FPUs against the 10-20% SIA bands."
-  | "fig6" ->
-      print_string (Core.Cost_tables.figure6 ());
-      paper_note
-        "Paper shape: area grows (exponential-ish), access time falls (logarithmic-ish); \
-         2-partitioning is the sweet spot."
-  | "fig7" ->
-      print_string (Core.Code_size_study.to_text (Core.Code_size_study.run ~suite_id loops));
-      paper_note "Paper: the 1 / 0.5 / 0.25 / 0.125 best-case series."
-  | "fig8" ->
-      print_string (Core.Tradeoff.figure8 ~suite_id loops);
-      paper_note
-        "Paper shape: (a) small files win once cycle time is charged; (b) replication gains \
-         but at exploding area; (c) widening gains cheaply then saturates; (d) the mixed \
-         configurations win the factor-8 group."
-  | "fig9" ->
-      let t = Core.Tradeoff.figure9 ~suite_id loops in
-      print_string (Core.Tradeoff.figure9_text t);
-      write_csv "fig9" Core.Csv_export.fig9_header (Core.Csv_export.fig9_rows t);
-      let fams =
-        Core.Tradeoff.figure9_families ~suite_id (Wr_workload.Suite.families_for ~sample:sample_size)
-      in
-      List.iter
-        (fun (name, ft) ->
-          Printf.printf "---- family %s ----\n%s" name (Core.Tradeoff.figure9_text ft))
-        fams;
-      write_csv "fig9_families" Core.Csv_export.fig9_families_header
-        (Core.Csv_export.fig9_families_rows fams);
-      paper_note
-        "Paper shape: top-five lists are dominated by small replication x widening mixes; \
-         the most aggressive configurations never appear."
-  | "conclusion" ->
-      print_string (Core.Tradeoff.conclusion ~suite_id loops);
-      paper_note "Paper: 4w2(128) = 1.66x the performance of 8w1(128) in 81% of the area."
-  | "ablation-compact" ->
-      print_string (Core.Ablation.compactability ());
-      paper_note
-        "Beyond the paper: sensitivity of the Figure 2 series to the workload's stride-1 fraction — widening collapses on strided code, replication barely moves."
-  | "ablation-levers" ->
-      print_string (Core.Ablation.pressure_levers (Wr_workload.Suite.sample 150));
-      paper_note
-        "Beyond the paper: the two MICRO-29 register-pressure levers in isolation; II escalation carries most of the benefit on this workload, spilling adds bus traffic."
-  | "ablation-rotating" ->
-      print_string (Core.Ablation.rotating_file (Wr_workload.Suite.sample 80));
-      paper_note
-        "Beyond the paper: the wands model prices a rotating register file; a conventional file (modulo variable expansion) needs ~1.3-1.5x the registers and up to 12x kernel code growth."
-  | "ablation-ordering" ->
-      print_string (Core.Ablation.scheduler_orderings (Wr_workload.Suite.sample 150));
-      paper_note
-        "Beyond the paper: IMS height priority vs the authors' later SMS swing ordering — \
-         both reach the MII on almost every loop; SMS trades a little II robustness for \
-         shorter lifetimes.";
-  | "icache" ->
-      print_string (Core.Icache_study.to_text (Core.Icache_study.run (Wr_workload.Suite.sample 200)));
-      paper_note
-        "Beyond the paper (predicted in its Section 2): at equal peak capability the \
-         replication-heavy machines' wide words and large MVE unrolls overflow small \
-         instruction caches far more often than the widened machines."
-  | "traffic" ->
-      print_string (Core.Traffic_study.to_text (Core.Traffic_study.run (Wr_workload.Suite.sample 200)));
-      paper_note
-        "Beyond the paper (its Section 3.2 caveat, quantified): spill code's extra memory \
-         operations as a share of program traffic — the wide register file's capacity keeps \
-         the widened machines' spill traffic low.";
-  | "dcache" ->
-      print_string
-        (Core.Dcache_study.to_text (Core.Dcache_study.run (Wr_workload.Suite.sample 120)));
-      paper_note
-        "Beyond the paper: replaying each schedule's real memory trace (spill slots \
-         included) through a direct-mapped L1 — spill code's cache pollution on top of the \
-         bus slots the paper counts.";
-  | "balance" ->
-      print_string (Core.Balance_study.to_text (Core.Balance_study.run loops));
-      paper_note
-        "The paper's footnote 1, reproduced: 1 bus + 2 FPUs is the best 3-slot split, and 2:1 \
-         stays within ~7% of the best at larger budgets (our synthetic mix is slightly \
-         memory-heavier than the Perfect Club's, drifting the optimum toward 1.4:1).";
+(* The first [n] items by descending [metric]; the sort is stable, so
+   ties keep suite order and the selection is deterministic. *)
+let top n metric items =
+  List.filteri (fun i _ -> i < n)
+    (List.stable_sort (fun a b -> compare (metric b) (metric a)) items)
+
+(* A wr-bench/2 artifact, written to the working directory. *)
+let write_artifact path kind fields =
+  B.write_file path (B.envelope ~kind fields);
+  Printf.printf "[json] wrote %s\n%!" path
+
+let engine_modes =
+  [
+    ("endtoend", "Simulate schedules cycle by cycle against the reference interpreter.");
+    ("gap", "HRMS-vs-optimal II gap study; writes BENCH_gap.json.");
+    ("parspeed", "Time fig3 and fig9 at 1 and N jobs and check the outputs are identical.");
+    ("schedmicro", "Modulo-scheduler microbenchmark; writes BENCH_sched.json.");
+    ("interpmicro", "Interpreter microbenchmark; writes BENCH_interp.json.");
+    ("fuzz", "Seeded cases through every oracle ($(b,--backend-diff): heuristic vs exact).");
+    ("profile", "Per-stage telemetry breakdown of the fig3 pipeline.");
+  ]
+
+let run_engine opts flags (suite : Run.suite) = function
   | "endtoend" ->
       (* Cycle-level validation: schedule + MVE allocation + simulation
          against the reference interpreter, bit for bit. *)
@@ -531,47 +317,46 @@ let run_experiment id =
          point and reports the II gap.  BENCH_gap.json is always
          written so CI can assert gap >= 0 on every row and that at
          least one point was proved optimal. *)
-      let families = Wr_workload.Suite.families_for ~sample:sample_size in
+      let families = Wr_workload.Suite.families_for ~sample:suite.Run.sample in
       let t0 = Unix.gettimeofday () in
       let t = Core.Gap_study.run families in
       let wall = Unix.gettimeofday () -. t0 in
       print_string (Core.Gap_study.to_text t);
-      write_csv "gap" Core.Csv_export.gap_header (Core.Csv_export.gap_rows t);
-      let path = "BENCH_gap.json" in
-      B.write_file path
-        (B.envelope ~kind:"gap"
-           [
-             ("suite", B.str suite_id);
-             ("points", B.int t.Core.Gap_study.points);
-             ("proved_optimal", B.int t.Core.Gap_study.proved_optimal);
-             ("improved", B.int t.Core.Gap_study.improved);
-             ("timeout", B.int t.Core.Gap_study.fallback);
-             ("gap_total", B.int t.Core.Gap_study.gap_total);
-             ("max_gap", B.int t.Core.Gap_study.max_gap);
-             ("nodes_total", B.int t.Core.Gap_study.nodes_total);
-             ("wall_s", B.float ~fmt:(Printf.sprintf "%.3f") wall);
-             ( "rows",
-               B.List
-                 (List.map
-                    (fun (r : Core.Gap_study.row) ->
-                      B.Obj
-                        [
-                          ("family", B.str r.Core.Gap_study.family);
-                          ("loop", B.str r.Core.Gap_study.loop_name);
-                          ("config", B.str (Config.label_short r.Core.Gap_study.config));
-                          ("ops", B.int r.Core.Gap_study.ops);
-                          ("mii", B.int r.Core.Gap_study.mii);
-                          ("heur_ii", B.int r.Core.Gap_study.heur_ii);
-                          ("exact_ii", B.int r.Core.Gap_study.exact_ii);
-                          ("gap", B.int r.Core.Gap_study.gap);
-                          ( "status",
-                            B.str (Core.Gap_study.status_string r.Core.Gap_study.status) );
-                          ("nodes", B.int r.Core.Gap_study.nodes);
-                          ("evictions", B.int r.Core.Gap_study.evictions);
-                        ])
-                    t.Core.Gap_study.rows) );
-           ]);
-      Printf.printf "[json] wrote %s\n%!" path;
+      write_csv flags
+        { Run.name = "gap"; header = Core.Csv_export.gap_header;
+          rows = Core.Csv_export.gap_rows t };
+      write_artifact "BENCH_gap.json" "gap"
+        [
+          ("suite", B.str suite.Run.id);
+          ("points", B.int t.Core.Gap_study.points);
+          ("proved_optimal", B.int t.Core.Gap_study.proved_optimal);
+          ("improved", B.int t.Core.Gap_study.improved);
+          ("timeout", B.int t.Core.Gap_study.fallback);
+          ("gap_total", B.int t.Core.Gap_study.gap_total);
+          ("max_gap", B.int t.Core.Gap_study.max_gap);
+          ("nodes_total", B.int t.Core.Gap_study.nodes_total);
+          ("wall_s", B.float ~fmt:(Printf.sprintf "%.3f") wall);
+          ( "rows",
+            B.List
+              (List.map
+                 (fun (r : Core.Gap_study.row) ->
+                   B.Obj
+                     [
+                       ("family", B.str r.Core.Gap_study.family);
+                       ("loop", B.str r.Core.Gap_study.loop_name);
+                       ("config", B.str (Config.label_short r.Core.Gap_study.config));
+                       ("ops", B.int r.Core.Gap_study.ops);
+                       ("mii", B.int r.Core.Gap_study.mii);
+                       ("heur_ii", B.int r.Core.Gap_study.heur_ii);
+                       ("exact_ii", B.int r.Core.Gap_study.exact_ii);
+                       ("gap", B.int r.Core.Gap_study.gap);
+                       ( "status",
+                         B.str (Core.Gap_study.status_string r.Core.Gap_study.status) );
+                       ("nodes", B.int r.Core.Gap_study.nodes);
+                       ("evictions", B.int r.Core.Gap_study.evictions);
+                     ])
+                 t.Core.Gap_study.rows) );
+        ];
       record_wall "gap/study-total" wall;
       paper_note
         "Beyond the paper: branch-and-bound lower bounds on the II quantify how close the \
@@ -582,7 +367,7 @@ let run_experiment id =
          measured, and the determinism contract verified, on every
          run.  Fresh suite ids + cache clears keep the memo table from
          leaking work between the timed runs. *)
-      let par_jobs = Stdlib.max 1 (effective_jobs ()) in
+      let par_jobs = Stdlib.max 1 (Run.jobs opts) and loops = suite.Run.loops in
       let timed_run jobs =
         Wr_util.Pool.set_default_jobs jobs;
         Core.Evaluate.clear_cache ();
@@ -639,17 +424,8 @@ let run_experiment id =
                let ddg = prepared.Wr_ir.Loop.ddg in
                let r = Wr_sched.Modulo.run resource ~cycle_model:cm ddg in
                (loop.Wr_ir.Loop.name, i, ddg, r.Wr_sched.Modulo.placements))
-             loops)
+             suite.Run.loops)
       in
-      let ranked =
-        (* Most placement steps first; ties broken by suite position so
-           the selection is deterministic. *)
-        List.sort
-          (fun (_, i, _, a) (_, j, _, b) ->
-            if a <> b then compare b a else compare i j)
-          ranked
-      in
-      let top = List.filteri (fun i _ -> i < top_n) ranked in
       let timed =
         List.map
           (fun (name, index, ddg, placements) ->
@@ -659,7 +435,7 @@ let run_experiment id =
             done;
             let per_run = (Unix.gettimeofday () -. t0) /. float_of_int reps in
             (name, index, placements, per_run))
-          top
+          (top top_n (fun (_, _, _, placements) -> placements) ranked)
       in
       let total = List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0.0 timed in
       Printf.printf "%-28s %6s %10s %12s\n" "loop" "index" "placements" "ms/run";
@@ -669,29 +445,26 @@ let run_experiment id =
         timed;
       Printf.printf "total: %.3f ms over the top %d loops (%d reps each, 4w2, Cycles_4)\n"
         (total *. 1e3) (List.length timed) reps;
-      let path = "BENCH_sched.json" in
-      B.write_file path
-        (B.envelope ~kind:"sched"
-           [
-             ("suite", B.str suite_id);
-             ("config", B.str "4w2");
-             ("cycle_model", B.int 4);
-             ("reps", B.int reps);
-             ( "loops",
-               B.List
-                 (List.map
-                    (fun (name, index, placements, s) ->
-                      B.Obj
-                        [
-                          ("name", B.str name);
-                          ("index", B.int index);
-                          ("placements", B.int placements);
-                          ("wall_s", B.float ~fmt:(Printf.sprintf "%.6f") s);
-                        ])
-                    timed) );
-             ("total_s", B.float ~fmt:(Printf.sprintf "%.6f") total);
-           ]);
-      Printf.printf "[json] wrote %s\n%!" path;
+      write_artifact "BENCH_sched.json" "sched"
+        [
+          ("suite", B.str suite.Run.id);
+          ("config", B.str "4w2");
+          ("cycle_model", B.int 4);
+          ("reps", B.int reps);
+          ( "loops",
+            B.List
+              (List.map
+                 (fun (name, index, placements, s) ->
+                   B.Obj
+                     [
+                       ("name", B.str name);
+                       ("index", B.int index);
+                       ("placements", B.int placements);
+                       ("wall_s", B.float ~fmt:(Printf.sprintf "%.6f") s);
+                     ])
+                 timed) );
+          ("total_s", B.float ~fmt:(Printf.sprintf "%.6f") total);
+        ];
       record_wall "schedmicro/top-loops-total" total;
       paper_note
         "Engine microbenchmark: isolates the modulo scheduler's wall time from the rest of \
@@ -713,17 +486,10 @@ let run_experiment id =
           (Array.mapi
              (fun i (loop : Wr_ir.Loop.t) ->
                (loop.Wr_ir.Loop.name, i, loop, Wr_ir.Ddg.num_ops loop.Wr_ir.Loop.ddg))
-             loops)
-      in
-      let ranked =
-        (* Most operations first; ties broken by suite position so the
-           selection is deterministic. *)
-        List.sort
-          (fun (_, i, _, a) (_, j, _, b) -> if a <> b then compare b a else compare i j)
-          ranked
+             suite.Run.loops)
       in
       let picked =
-        List.filteri (fun i _ -> i < top_n) ranked
+        top top_n (fun (_, _, _, ops) -> ops) ranked
         @ List.map
             (fun (name, loop) ->
               (name, -1, loop, Wr_ir.Ddg.num_ops loop.Wr_ir.Loop.ddg))
@@ -791,98 +557,83 @@ let run_experiment id =
         "total: reference %.3fs, flat %.3fs -> %.2fx over %d loops (%d reps x %d \
          iterations each)\n"
         ref_total flat_total speedup (List.length timed) reps iterations;
-      let path = "BENCH_interp.json" in
       let f2 = Printf.sprintf "%.2f" and f3 = Printf.sprintf "%.3f" in
-      B.write_file path
-        (B.envelope ~kind:"interp"
-           [
-             ("suite", B.str suite_id);
-             ("iterations", B.int iterations);
-             ("reps", B.int reps);
-             ( "loops",
-               B.List
-                 (List.map
-                    (fun ( name, index, ops, compile_us, _, ref_ns, ref_alloc, _, flat_ns,
-                           flat_alloc ) ->
-                      B.Obj
-                        [
-                          ("name", B.str name);
-                          ("index", B.int index);
-                          ("ops", B.int ops);
-                          ("compile_us", B.float ~fmt:f2 compile_us);
-                          ("ref_ns_per_iter", B.float ~fmt:f2 ref_ns);
-                          ("flat_ns_per_iter", B.float ~fmt:f2 flat_ns);
-                          ("speedup", B.float ~fmt:f3 (ref_ns /. Stdlib.max 1e-9 flat_ns));
-                          ("ref_alloc_b_per_iter", B.float ~fmt:f2 ref_alloc);
-                          ("flat_alloc_b_per_iter", B.float ~fmt:f2 flat_alloc);
-                        ])
-                    timed) );
-             ("ref_total_s", B.float ~fmt:(Printf.sprintf "%.6f") ref_total);
-             ("flat_total_s", B.float ~fmt:(Printf.sprintf "%.6f") flat_total);
-             ("speedup", B.float ~fmt:f3 speedup);
-           ]);
-      Printf.printf "[json] wrote %s\n%!" path;
+      write_artifact "BENCH_interp.json" "interp"
+        [
+          ("suite", B.str suite.Run.id);
+          ("iterations", B.int iterations);
+          ("reps", B.int reps);
+          ( "loops",
+            B.List
+              (List.map
+                 (fun ( name, index, ops, compile_us, _, ref_ns, ref_alloc, _, flat_ns,
+                        flat_alloc ) ->
+                   B.Obj
+                     [
+                       ("name", B.str name);
+                       ("index", B.int index);
+                       ("ops", B.int ops);
+                       ("compile_us", B.float ~fmt:f2 compile_us);
+                       ("ref_ns_per_iter", B.float ~fmt:f2 ref_ns);
+                       ("flat_ns_per_iter", B.float ~fmt:f2 flat_ns);
+                       ("speedup", B.float ~fmt:f3 (ref_ns /. Stdlib.max 1e-9 flat_ns));
+                       ("ref_alloc_b_per_iter", B.float ~fmt:f2 ref_alloc);
+                       ("flat_alloc_b_per_iter", B.float ~fmt:f2 flat_alloc);
+                     ])
+                 timed) );
+          ("ref_total_s", B.float ~fmt:(Printf.sprintf "%.6f") ref_total);
+          ("flat_total_s", B.float ~fmt:(Printf.sprintf "%.6f") flat_total);
+          ("speedup", B.float ~fmt:f3 speedup);
+        ];
       record_wall "interpmicro/reference-total" ref_total;
       record_wall "interpmicro/flat-total" flat_total;
       paper_note
         "Engine microbenchmark: isolates the functional interpreter (the oracle engine \
          behind every --verify run) from scheduling and study logic; both engines are \
          checked bit-identical before timing."
-  | "fuzz" when backend_diff ->
-      (* Differential bug hunt: every seeded case scheduled by both the
-         heuristic and the exact backend.  Bugs (oracle failures, exact
-         II above heuristic, exact II below MII) fail the run with a
-         reproducer; exact < heuristic with both schedules valid is an
-         optimality-gap lead, logged but benign. *)
-      Printf.printf "backend-diff fuzzing %d cases (seed %#Lx)\n%!" fuzz_cases fuzz_seed;
-      let stats =
-        Wr_check.Fuzz.run_backend_diff
-          ~on_case:(fun i ->
-            if (i + 1) mod 50 = 0 then Printf.printf "  ... %d cases done\n%!" (i + 1))
-          ~seed:fuzz_seed ~cases:fuzz_cases ()
-      in
-      Printf.printf "%s\n" (Wr_check.Fuzz.diff_summary stats);
-      List.iter
-        (fun d ->
-          Printf.printf "---- gap lead ----\n%s\n" (Wr_check.Fuzz.diff_reproducer d))
-        stats.Wr_check.Fuzz.dgaps;
-      List.iter
-        (fun d ->
-          Printf.printf "---- reproducer ----\n%s\n" (Wr_check.Fuzz.diff_reproducer d))
-        stats.Wr_check.Fuzz.dbug_cases;
-      if stats.Wr_check.Fuzz.dbug_cases <> [] then
-        defer_failure
-          (Printf.sprintf "fuzz --backend-diff: %d bug case(s)"
-             (List.length stats.Wr_check.Fuzz.dbug_cases));
-      paper_note
-        "Engine check: the exact backend cross-examines the heuristic on every case — any \
-         heuristic II the exact search beats is a logged optimality gap, any invalid or \
-         worse exact schedule is a bug."
   | "fuzz" ->
       (* Randomized end-to-end verification: seeded (generator loop x
          design-space point) pairs through the full
          schedule -> allocate -> spill -> reschedule pipeline under
          every Wr_check oracle; a failure prints a Text_format
-         reproducer and fails the run. *)
-      Printf.printf "fuzzing %d cases (seed %#Lx)\n%!" fuzz_cases fuzz_seed;
-      let stats =
-        Wr_check.Fuzz.run
-          ~on_case:(fun i ->
-            if (i + 1) mod 50 = 0 then Printf.printf "  ... %d cases done\n%!" (i + 1))
-          ~seed:fuzz_seed ~cases:fuzz_cases ()
+         reproducer and fails the run.  With --backend-diff it is a
+         differential bug hunt instead: every seeded case scheduled by
+         both the heuristic and the exact backend.  Bugs (oracle
+         failures, exact II above heuristic, exact II below MII) fail
+         the run with a reproducer; exact < heuristic with both
+         schedules valid is an optimality-gap lead, logged but benign. *)
+      let module F = Wr_check.Fuzz in
+      let seed = flags.fuzz_seed and cases = flags.cases in
+      let on_case i = if (i + 1) mod 50 = 0 then Printf.printf "  ... %d cases done\n%!" (i + 1) in
+      let blocks title render =
+        List.iter (fun c -> Printf.printf "---- %s ----\n%s\n" title (render c))
       in
-      Printf.printf "%s\n" (Wr_check.Fuzz.summary stats);
-      List.iter
-        (fun f ->
-          Printf.printf "---- reproducer ----\n%s\n" (Wr_check.Fuzz.reproducer f))
-        stats.Wr_check.Fuzz.failures;
-      if stats.Wr_check.Fuzz.failures <> [] then
-        defer_failure
-          (Printf.sprintf "fuzz: %d case(s) violated an oracle"
-             (List.length stats.Wr_check.Fuzz.failures));
-      paper_note
-        "Engine check: every case re-verified by the independent invariant oracles \
-         (dependences, reservation table, wands allocation, spill semantics)."
+      if flags.backend_diff then begin
+        Printf.printf "backend-diff fuzzing %d cases (seed %#Lx)\n%!" cases seed;
+        let stats = F.run_backend_diff ~on_case ~seed ~cases () in
+        Printf.printf "%s\n" (F.diff_summary stats);
+        blocks "gap lead" F.diff_reproducer stats.F.dgaps;
+        blocks "reproducer" F.diff_reproducer stats.F.dbug_cases;
+        if stats.F.dbug_cases <> [] then
+          defer_failure
+            (Printf.sprintf "fuzz --backend-diff: %d bug case(s)" (List.length stats.F.dbug_cases));
+        paper_note
+          "Engine check: the exact backend cross-examines the heuristic on every case — any \
+           heuristic II the exact search beats is a logged optimality gap, any invalid or \
+           worse exact schedule is a bug."
+      end
+      else begin
+        Printf.printf "fuzzing %d cases (seed %#Lx)\n%!" cases seed;
+        let stats = F.run ~on_case ~seed ~cases () in
+        Printf.printf "%s\n" (F.summary stats);
+        blocks "reproducer" F.reproducer stats.F.failures;
+        if stats.F.failures <> [] then
+          defer_failure
+            (Printf.sprintf "fuzz: %d case(s) violated an oracle" (List.length stats.F.failures));
+        paper_note
+          "Engine check: every case re-verified by the independent invariant oracles \
+           (dependences, reservation table, wands allocation, spill semantics)."
+      end
   | "profile" ->
       (* Per-stage profile of the full evaluation pipeline: run the
          fig3 study (the heaviest exerciser of schedule + allocate +
@@ -894,7 +645,7 @@ let run_experiment id =
       Core.Evaluate.clear_cache ();
       Obs.reset ();
       let t0 = Unix.gettimeofday () in
-      let table = Core.Spill_study.run ~suite_id loops in
+      let table = Core.Spill_study.run ~suite_id:suite.Run.id suite.Run.loops in
       let wall = Unix.gettimeofday () -. t0 in
       ignore table;
       let snap = Obs.snapshot () in
@@ -902,7 +653,7 @@ let run_experiment id =
         Option.value ~default:0 (List.assoc_opt name snap.Obs.counters)
       in
       Printf.printf "Pipeline profile: fig3 study, %d loops, %d jobs, %.2fs wall\n\n"
-        (Array.length loops) (effective_jobs ()) wall;
+        (Array.length suite.Run.loops) (Run.jobs opts) wall;
       Printf.printf "%-18s %9s %10s %10s %10s\n" "stage" "spans" "total_s" "mean_ms"
         "max_ms";
       List.iter
@@ -974,7 +725,7 @@ let run_experiment id =
             Printf.printf "  nodes per II attempt (>1024 clamped into the overflow bin):\n";
             List.iter (fun (v, c) -> Printf.printf "    %5d %7d\n" v c) bins
       end;
-      Printf.printf "\nPool utilization (%d jobs):\n" (effective_jobs ());
+      Printf.printf "\nPool utilization (%d jobs):\n" (Run.jobs opts);
       if snap.Obs.lanes = [] then
         Printf.printf "  (no pool tasks: single-domain run executes inline)\n"
       else
@@ -992,147 +743,118 @@ let run_experiment id =
       paper_note
         "Engine profile: the paper's figures aggregate exactly these per-loop events \
          (II escalations, spills, retries); this table is the raw distribution."
-  | _ -> usage ());
+  | id -> invalid_arg ("run_engine: " ^ id)
+
+let run_experiment opts flags suite id =
+  Printf.printf "==================================================================\n";
+  Printf.printf "=== %s\n==================================================================\n%!" id;
+  let started = Unix.gettimeofday () in
+  (match List.assoc_opt id Run.experiments with
+  | Some run ->
+      let o = run suite in
+      print_string o.Run.text;
+      List.iter (write_csv flags) o.Run.tables;
+      paper_note o.Run.note
+  | None -> run_engine opts flags suite id);
   record_wall id (Unix.gettimeofday () -. started);
   Printf.printf "[%s generated in %.1fs]\n" id (Unix.gettimeofday () -. started);
   print_newline ();
-  if with_timing then begin
-    (match id with
-    | "table1" | "table6" -> time_test (id ^ "/render") (fun () -> Core.Cost_tables.table1 ())
-    | "table2" ->
-        time_test "table2/cell-model" (fun () ->
-            List.iter
-              (fun ((r, w), _) -> ignore (Wr_cost.Register_cell.area ~reads:r ~writes:w))
-              Wr_cost.Register_cell.paper_table)
-    | "table3" | "fig4" ->
-        time_test "area-model/grid" (fun () ->
-            List.iter
-              (fun c -> ignore (Wr_cost.Area.total_area c))
-              (Config.paper_grid ~max_factor:16 ~registers:[ 32; 64; 128; 256 ]))
-    | "table4" ->
-        time_test "access-time/grid" (fun () ->
-            List.iter
-              (fun c -> ignore (Wr_cost.Access_time.relative c))
-              (Config.paper_grid ~max_factor:16 ~registers:[ 32; 64; 128; 256 ]))
-    | "table5" ->
-        time_test "table5/implementability" (fun () -> ignore (Core.Implementability.run ()))
-    | "fig2" ->
-        time_test "fig2/peak-rates-30-loops" (fun () ->
-            ignore (Core.Peak_study.run ~max_factor:16 timing_loops))
-    | "fig3" ->
-        time_test "fig3/pipeline-4w2-64-30-loops" (fun () ->
-            ignore
-              (Core.Evaluate.suite_on ~suite_id:(fresh_suite_id ())
-                 (Config.xwy ~registers:64 ~x:4 ~y:2 ())
-                 ~cycle_model:Cycle_model.Cycles_4 ~registers:64 timing_loops))
-    | "fig6" ->
-        time_test "fig6/partition-model" (fun () ->
-            List.iter
-              (fun n ->
-                let c = Config.xwy ~registers:64 ~partitions:n ~x:8 ~y:1 () in
-                ignore (Wr_cost.Area.rf_area c);
-                ignore (Wr_cost.Access_time.raw_time c))
-              [ 1; 2; 4; 8 ])
-    | "fig7" ->
-        time_test "fig7/code-size-30-loops" (fun () ->
-            ignore (Core.Code_size_study.run ~suite_id:(fresh_suite_id ()) timing_loops))
-    | "fig8" | "fig9" | "conclusion" ->
-        time_test (id ^ "/tradeoff-point-30-loops") (fun () ->
-            ignore
-              (Core.Tradeoff.evaluate ~suite_id:(fresh_suite_id ()) timing_loops
-                 (Config.xwy ~registers:128 ~partitions:2 ~x:2 ~y:2 ())))
-    | "endtoend" ->
-        time_test "endtoend/sim-daxpy-2w2-100-iters" (fun () ->
-            match
-              Wr_vliw.Sim.check_against_reference
-                (Wr_workload.Kernels.daxpy ())
-                (Config.xwy ~x:2 ~y:2 ())
-                ~iterations:100
-            with
-            | Ok _ -> ()
-            | Error msg -> failwith msg)
-    | "ablation-rotating" ->
-        time_test "ablation/mve-allocate-30-loops" (fun () ->
-            Array.iter
-              (fun (loop : Wr_ir.Loop.t) ->
-                let r =
-                  Wr_sched.Modulo.run
-                    (Wr_machine.Resource.of_config (Config.xwy ~x:2 ~y:1 ()))
-                    ~cycle_model:Cycle_model.Cycles_4 loop.Wr_ir.Loop.ddg
-                in
-                ignore
-                  (Wr_vliw.Codegen.allocate loop.Wr_ir.Loop.ddg r.Wr_sched.Modulo.schedule))
-              timing_loops)
-    | _ -> ());
+  if flags.timing then begin
+    time_experiment id;
     print_newline ()
   end
 
-let () =
+(* parspeed, gap, fuzz and profile are explicit-only modes: the first
+   doubles the heavy figures, gap runs a branch-and-bound search per
+   point, the third is a verification pass, and the fourth re-runs fig3
+   under tracing — none is a figure of the paper. *)
+let all = List.map fst Run.experiments @ [ "endtoend"; "schedmicro"; "interpmicro" ]
+
+let main id opts flags =
+  Run.start stdout opts;
+  let suite = Run.suite opts.Run.sample in
   Printf.printf "Widening-resources study bench harness (suite: %s, %d loops, %d jobs)\n\n%!"
-    suite_id (Array.length loops) (effective_jobs ());
-  Printf.printf "%s\n" (Wr_workload.Suite.statistics loops);
-  (* parspeed re-times fig3/fig9 at two pool sizes; keep it out of
-     "all" so the default full run isn't doubled.  Invoke explicitly. *)
-  (* parspeed, gap, fuzz and profile are explicit-only modes: the
-     first doubles the heavy figures, gap runs a branch-and-bound
-     search per point, the third is a verification pass, and the
-     fourth re-runs fig3 under tracing — none is a figure of the
-     paper. *)
-  if selected = "all" then
-    List.iter run_experiment
-      (List.filter
-         (fun e -> e <> "parspeed" && e <> "gap" && e <> "fuzz" && e <> "profile")
-         experiments)
-  else run_experiment selected;
-  if Core.Evaluate.verify_enabled () then
-    Printf.printf "[verify] %d (loop, machine-point) results passed all oracles, 0 violations\n"
-      (Core.Evaluate.verified_points ());
-  Option.iter (fun path -> write_json path ~suite_id ~loops) json_path;
-  Option.iter
-    (fun path ->
-      Wr_obs.Obs.write_trace path;
-      Printf.printf "[trace] wrote %s\n%!" path)
-    trace_path;
-  Option.iter
-    (fun path ->
-      Wr_obs.Obs.write_metrics path;
-      Printf.printf "[metrics] wrote %s\n%!" path)
-    metrics_path;
-  Option.iter
-    (fun path ->
-      Core.Provenance.write path;
-      Printf.printf "[ledger] wrote %s (%d points)\n%!" path
-        (List.length (Core.Provenance.records ())))
-    ledger_path;
-  Option.iter
-    (fun dir ->
-      let s = Core.Evaluate.cache_stats `Store in
-      Printf.printf "[store] %s: %d entries, %d hits, %d misses, %d appended\n%!" dir
-        (Core.Evaluate.store_entries ()) s.Core.Evaluate.hits s.Core.Evaluate.misses
-        (Core.Evaluate.store_appended ());
-      Core.Evaluate.detach_store ())
-    store_dir;
-  (match List.rev !deferred_failures with
-  | [] -> ()
+    suite.Run.id (Array.length suite.Run.loops) (Run.jobs opts);
+  Printf.printf "%s\n" (Wr_workload.Suite.statistics suite.Run.loops);
+  List.iter (run_experiment opts flags suite) (if id = "all" then all else [ id ]);
+  Option.iter (fun path -> write_json path opts suite) flags.json;
+  let code = Run.finish stdout opts in
+  match List.rev !deferred_failures with
+  | [] -> code
   | fs ->
-      List.iter (fun msg -> Printf.eprintf "%s\n" msg) fs;
-      exit 2);
-  (* Quarantine report: every point that degraded to the unpipelined
-     fallback instead of killing the run, named precisely enough to
-     reproduce (suite, loop, machine point).  Exit 3 distinguishes
-     "completed but degraded" from success and from hard failure. *)
-  match Core.Evaluate.quarantined () with
-  | [] -> ()
-  | qs ->
-      Printf.printf "\nQuarantined points (%d): degraded to the unpipelined fallback\n"
-        (List.length qs);
-      Printf.printf "%-10s %6s %-24s %-12s %5s %6s  %s\n" "suite" "index" "loop" "config"
-        "regs" "model" "reason";
-      List.iter
-        (fun (q : Core.Evaluate.quarantine_record) ->
-          Printf.printf "%-10s %6d %-24s %-12s %5d %6d  %s\n" q.Core.Evaluate.q_suite
-            q.Core.Evaluate.q_index q.Core.Evaluate.q_loop q.Core.Evaluate.q_config
-            q.Core.Evaluate.q_registers q.Core.Evaluate.q_cycle_model
-            q.Core.Evaluate.q_reason)
-        qs;
-      exit 3
+      List.iter prerr_endline fs;
+      2
+
+(* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+
+let flags_term =
+  let no_timing =
+    Arg.(value & flag & info [ "no-timing" ] ~doc:"Skip the Bechamel timing runs.")
+  in
+  let csv_dir =
+    Arg.(value & opt (some string) None
+         & info [ "csv" ] ~docv:"DIR" ~doc:"Write each experiment's tables as CSV files in DIR.")
+  in
+  let json =
+    Arg.(value & opt (some string) None
+         & info [ "json" ] ~docv:"FILE"
+             ~doc:"Write per-experiment wall times and Bechamel estimates as JSON.")
+  in
+  let cases =
+    Arg.(value & opt (Run.positive "CASES") 200
+         & info [ "cases" ] ~docv:"N" ~doc:"Number of fuzz cases.")
+  in
+  let fuzz_seed =
+    Arg.(value & opt int64 0x5EEDL & info [ "fuzz-seed" ] ~docv:"SEED" ~doc:"Fuzz seed.")
+  in
+  let backend_diff =
+    Arg.(value & flag
+         & info [ "backend-diff" ]
+             ~doc:"Make $(b,fuzz) a heuristic-vs-exact differential instead of an oracle run.")
+  in
+  let make no_timing csv_dir json cases fuzz_seed backend_diff =
+    { timing = not no_timing; csv_dir; json; cases; fuzz_seed; backend_diff }
+  in
+  Term.(const make $ no_timing $ csv_dir $ json $ cases $ fuzz_seed $ backend_diff)
+
+let run_term id = Term.(const main $ id $ Run.term $ flags_term)
+
+let () =
+  let mode (id, doc) = Cmd.v (Cmd.info id ~doc) (run_term (Term.const id)) in
+  let file n docv = Arg.(required & pos n (some string) None & info [] ~docv) in
+  let tools =
+    [
+      Cmd.v
+        (Cmd.info "report" ~doc:"Render a run ledger as a dashboard.")
+        Term.(const report $ file 0 "LEDGER");
+      Cmd.v
+        (Cmd.info "diff"
+           ~doc:"Compare two ledgers, or two BENCH artifacts of one kind; exit 2 on a regression.")
+        Term.(
+          const diff $ file 0 "OLD" $ file 1 "NEW"
+          $ Arg.(value & opt (some string) None
+                 & info [ "threshold" ] ~docv:"PCT"
+                     ~doc:"Cycles-noise threshold in percent (also WR_DIFF_THRESHOLD)."));
+      Cmd.v
+        (Cmd.info "validate" ~doc:"Check BENCH artifacts against the wr-bench/2 envelope.")
+        Term.(const validate $ Arg.(non_empty & pos_all string [] & info [] ~docv:"BENCH.json"));
+    ]
+  in
+  let modes =
+    (("all", "Every figure and study, then endtoend, schedmicro and interpmicro.")
+    :: List.map (fun (id, _) -> (id, "Reproduce " ^ id ^ ".")) Run.experiments)
+    @ engine_modes
+  in
+  let info =
+    Cmd.info "main.exe"
+      ~doc:"Regenerate the paper's tables and figures, time them, and check the engine"
+  in
+  (* Without a leading mode name (options first, or nothing at all) the
+     mode is the one positional argument, "all" when absent. *)
+  let default =
+    run_term Arg.(value & pos 0 (enum (List.map (fun (id, _) -> (id, id)) modes)) "all"
+                  & info [] ~docv:"MODE")
+  in
+  let cmd = Cmd.group ~default info (List.map mode modes @ tools) in
+  exit (Run.exit_code (Cmd.eval' cmd))

@@ -55,8 +55,7 @@ let compactability ?(stride1_probs = [ 0.5; 0.7; 0.85; 0.95; 1.0 ]) ?(num_loops 
 
 (* --- register-pressure levers ------------------------------------------- *)
 
-let pressure_levers ?(suite_id = "ablation") loops =
-  ignore suite_id;
+let pressure_levers loops =
   let evaluate policy (x, y) registers =
     let config = Config.xwy ~registers ~x ~y () in
     let resource = Resource.of_config config in

@@ -22,7 +22,7 @@ val compactability :
 (** Regenerate mini-suites at several stride-1 fractions and report the
     x8 and x32 peak speed-ups of 8w1, 2w4 and 1w8. *)
 
-val pressure_levers : ?suite_id:string -> Wr_ir.Loop.t array -> string
+val pressure_levers : Wr_ir.Loop.t array -> string
 (** 4w2 and 8w1 at 32/64 registers under three driver policies:
     spill-only, escalate-only, combined — reporting speed-up and the
     fraction of loops that fail to pipeline. *)

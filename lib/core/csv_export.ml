@@ -54,15 +54,8 @@ let fig9_rows (t : (Wr_cost.Sia.generation * Tradeoff.point list) list) =
         points)
     t
 
-let fig3_families_header = "family" :: fig3_header
-
-let fig3_families_rows results =
-  List.concat_map (fun (family, t) -> List.map (fun row -> family :: row) (fig3_rows t)) results
-
-let fig9_families_header = "family" :: fig9_header
-
-let fig9_families_rows results =
-  List.concat_map (fun (family, t) -> List.map (fun row -> family :: row) (fig9_rows t)) results
+let families_rows rows results =
+  List.concat_map (fun (family, t) -> List.map (fun row -> family :: row) (rows t)) results
 
 let gap_header =
   [ "family"; "loop"; "index"; "config"; "ops"; "mii"; "heur_ii"; "exact_ii"; "gap";

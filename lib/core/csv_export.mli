@@ -1,6 +1,6 @@
 (** Canonical CSV serialisations of the figure studies — the single
     source of truth for the [results/fig{2,3,9}.csv] format, shared by
-    the bench harness and the golden-file tests. *)
+    the experiment table of both front ends and the golden-file tests. *)
 
 val fig2_header : string list
 
@@ -14,16 +14,10 @@ val fig9_header : string list
 
 val fig9_rows : (Wr_cost.Sia.generation * Tradeoff.point list) list -> string list list
 
-val fig3_families_header : string list
-
-val fig3_families_rows : (string * Spill_study.t) list -> string list list
-(** {!fig3_rows} with a leading [family] column, one block per family
-    in input order. *)
-
-val fig9_families_header : string list
-
-val fig9_families_rows :
-  (string * (Wr_cost.Sia.generation * Tradeoff.point list) list) list -> string list list
+val families_rows : ('a -> string list list) -> (string * 'a) list -> string list list
+(** [rows] of each family's result with a leading [family] column, one
+    block per family in input order: the per-family cut of a figure,
+    whose header is ["family"] followed by the figure's. *)
 
 val gap_header : string list
 

@@ -40,17 +40,6 @@ let run ?(registers = [ 32; 64; 128; 256 ]) ?(suite_id = "suite") loops =
       in
       { config = Config.xwy ~x ~y (); cells })
 
-(* Per-family cut of the same table.  The synthetic family of a bench
-   run is the very loop array the main figure ran on, so it keeps the
-   main run's suite id (and therefore hits the evaluation cache); other
-   families get a derived id of their own. *)
-let run_families ?registers ?(suite_id = "suite") families =
-  List.map
-    (fun (name, loops) ->
-      let sid = if name = "synthetic" then suite_id else suite_id ^ ":" ^ name in
-      (name, run ?registers ~suite_id:sid loops))
-    families
-
 let to_text t =
   let registers = match t with [] -> [] | r :: _ -> List.map fst r.cells in
   let headers = "config" :: List.map (fun z -> Printf.sprintf "%d-RF" z) registers in

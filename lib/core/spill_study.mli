@@ -19,15 +19,4 @@ val run :
   ?registers:int list -> ?suite_id:string -> Wr_ir.Loop.t array -> t
 (** [registers] defaults to [32; 64; 128; 256]. *)
 
-val run_families :
-  ?registers:int list ->
-  ?suite_id:string ->
-  (string * Wr_ir.Loop.t array) list ->
-  (string * t) list
-(** {!run} per family ({!Wr_workload.Suite.families_for}): the
-    synthetic-vs-real cut of Figure 3.  The ["synthetic"] family reuses
-    [suite_id] itself (it is the main run's loop array, so its points
-    come from the evaluation cache); every other family evaluates under
-    [suite_id ^ ":" ^ family]. *)
-
 val to_text : t -> string

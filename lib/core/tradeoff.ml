@@ -121,16 +121,6 @@ let figure9 ?(suite_id = "suite") ?(top = 5) loops =
       (g, take top sorted))
     Sia.generations
 
-(* Per-family cut of Figure 9; same suite-id convention as
-   Spill_study.run_families (the synthetic family shares the main run's
-   cache, other families evaluate under a derived id). *)
-let figure9_families ?(suite_id = "suite") ?top families =
-  List.map
-    (fun (name, loops) ->
-      let sid = if name = "synthetic" then suite_id else suite_id ^ ":" ^ name in
-      (name, figure9 ~suite_id:sid ?top loops))
-    families
-
 let figure9_text results =
   String.concat "\n"
     (List.map

@@ -32,15 +32,6 @@ val figure9 :
 (** Per generation, the best-performing implementable configurations
     (default top 5), each with its die share. *)
 
-val figure9_families :
-  ?suite_id:string ->
-  ?top:int ->
-  (string * Wr_ir.Loop.t array) list ->
-  (string * (Wr_cost.Sia.generation * point list) list) list
-(** {!figure9} per family: which configurations win on synthetic versus
-    real/stencil loops.  Suite-id convention as in
-    {!Spill_study.run_families}. *)
-
 val figure9_text : (Wr_cost.Sia.generation * point list) list -> string
 
 val conclusion : ?suite_id:string -> Wr_ir.Loop.t array -> string

@@ -15,9 +15,6 @@ type config = {
   queue_max : int;
   request_budget_ms : int option;
   store : string option;
-  ledger : string option;
-  metrics : string option;
-  trace : string option;
 }
 
 let default_queue_max = 64
@@ -56,8 +53,6 @@ type t = {
   shed : int Atomic.t;
   coalesced : int Atomic.t;
   started_ns : int;
-  suites : (string, Loop.t array) Hashtbl.t;
-  smutex : Mutex.t;
 }
 
 (* --- plumbing ---------------------------------------------------------- *)
@@ -92,33 +87,6 @@ let expect_reply conn =
   Mutex.lock conn.wmutex;
   conn.owed <- conn.owed + 1;
   Mutex.unlock conn.wmutex
-
-(* --- suites ------------------------------------------------------------ *)
-
-let resolve_suite t name =
-  Mutex.lock t.smutex;
-  let cached = Hashtbl.find_opt t.suites name in
-  Mutex.unlock t.smutex;
-  match cached with
-  | Some loops -> Ok loops
-  | None -> (
-      let generated =
-        if String.equal name "full" then Ok (Wr_workload.Suite.perfect_club_like ())
-        else if String.length name > 6 && String.equal (String.sub name 0 6) "sample" then
-          match int_of_string_opt (String.sub name 6 (String.length name - 6)) with
-          | Some n when n >= 1 -> Ok (Wr_workload.Suite.sample n)
-          | _ -> Error (Printf.sprintf "bad suite %S: sampleN needs a positive N" name)
-        else Error (Printf.sprintf "unknown suite %S (expected \"full\" or \"sampleN\")" name)
-      in
-      match generated with
-      | Ok loops ->
-          (* Racing readers generate the same deterministic array; the
-             replace is idempotent. *)
-          Mutex.lock t.smutex;
-          Hashtbl.replace t.suites name loops;
-          Mutex.unlock t.smutex;
-          Ok loops
-      | Error _ as e -> e)
 
 (* --- health ------------------------------------------------------------ *)
 
@@ -244,7 +212,7 @@ let handle_line t conn line =
           signal_dispatcher t;
           send conn (P.shutdown_reply ~id)
       | P.Eval p | P.Suite p -> (
-          match resolve_suite t p.P.suite with
+          match Result.map Wr_workload.Suite.of_sample (Wr_workload.Suite.parse_id p.P.suite) with
           | Error msg -> send conn (P.error_reply ~id msg)
           | Ok loops -> (
               match req with
@@ -443,8 +411,6 @@ let run cfg =
       shed = Atomic.make 0;
       coalesced = Atomic.make 0;
       started_ns = Obs.now_ns ();
-      suites = Hashtbl.create 8;
-      smutex = Mutex.create ();
     }
   in
   (match cfg.store with
@@ -452,8 +418,6 @@ let run cfg =
   | Some dir ->
       let r = Evaluate.attach_store dir in
       Printf.eprintf "[serve] store %s: %s\n%!" dir (Store.describe_recovery r));
-  if cfg.ledger <> None then Core.Provenance.set_capture true;
-  if cfg.metrics <> None || cfg.trace <> None then Obs.set_enabled true;
   let lfd = bind_listener cfg.listen in
   let drain _ = Atomic.set t.draining true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
@@ -488,23 +452,7 @@ let run cfg =
   (match cfg.listen with
   | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | `Tcp _ -> ());
-  (match cfg.ledger with
-  | None -> ()
-  | Some path ->
-      Core.Provenance.write path;
-      Printf.eprintf "[ledger] wrote %s (%d records)\n%!" path
-        (List.length (Core.Provenance.records ())));
   Evaluate.detach_store ();
-  Option.iter
-    (fun path ->
-      Obs.write_trace path;
-      Printf.eprintf "[trace] wrote %s\n%!" path)
-    cfg.trace;
-  Option.iter
-    (fun path ->
-      Obs.write_metrics path;
-      Printf.eprintf "[metrics] wrote %s\n%!" path)
-    cfg.metrics;
   Printf.eprintf "[serve] drained: served=%d shed=%d coalesced=%d evaluations=%d quarantined=%d\n%!"
     (Atomic.get t.served) (Atomic.get t.shed) (Atomic.get t.coalesced)
     (Evaluate.evaluations ())

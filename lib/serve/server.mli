@@ -33,7 +33,8 @@
        handling produces an error reply on that request only.}
     {- {b Graceful drain}: SIGTERM, SIGINT, or a [shutdown] request
        stop admission (late requests get the busy reply), let in-flight
-       work finish, flush and close the store and ledger, and return.}}
+       work finish, flush and close the store, and return; the caller
+       then writes any ledger, trace or metrics file of the session.}}
 
     {2 Warm starts}
 
@@ -53,9 +54,6 @@ type config = {
   queue_max : int;  (** outstanding-request bound; excess is shed *)
   request_budget_ms : int option;  (** default per-request deadline *)
   store : string option;  (** persistent store directory *)
-  ledger : string option;  (** write a [wr-ledger/1] file on drain *)
-  metrics : string option;  (** write an Obs metrics file on drain *)
-  trace : string option;  (** write an Obs trace file on drain *)
 }
 
 val default_queue_max : int

@@ -1,15 +1,26 @@
 type t = { path : string; mutable released : bool }
 
+(* A zombie has exited but is not yet reaped, so [kill pid 0] still
+   succeeds on it although it can never release a lock.  Linux reports
+   the process state in /proc/<pid>/stat, as the field after the
+   parenthesised command name (which may itself contain ')').  Where
+   /proc cannot be read the answer is "not a zombie", the conservative
+   side. *)
+let zombie pid =
+  match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | stat -> stat.[String.rindex stat ')' + 2] = 'Z'
+  | exception (Sys_error _ | Not_found | Invalid_argument _) -> false
+
 let pid_alive pid =
-  if pid <= 0 then false
-  else
-    match Unix.kill pid 0 with
-    | () -> true
-    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-    (* EPERM: the pid exists but is owned by someone else — alive.  Any
-       other failure is read conservatively as alive, so we never break
-       a lock we cannot prove stale. *)
-    | exception Unix.Unix_error _ -> true
+  pid > 0
+  && (match Unix.kill pid 0 with
+     | () -> true
+     | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+     (* EPERM: the pid exists but is owned by someone else — alive.  Any
+        other failure is read conservatively as alive, so we never break
+        a lock we cannot prove stale. *)
+     | exception Unix.Unix_error _ -> true)
+  && not (zombie pid)
 
 let read_pid path =
   match open_in_bin path with

@@ -11,11 +11,13 @@
     crash-then-restart workflow (the whole point of the result store)
     must not wedge on the corpse.  [acquire] therefore reads the
     recorded pid and breaks the lock when that process no longer exists
-    ([kill pid 0] raising [ESRCH]); an unreadable or garbled pid — a
-    crash between creating the file and writing it — is treated as
-    stale too.  [EPERM] counts as alive: the owner exists but belongs
-    to another user.  Breaking races are resolved by retrying the
-    atomic create a bounded number of times. *)
+    ([kill pid 0] raising [ESRCH]) or is a zombie (exited but not yet
+    reaped: state [Z] in Linux's [/proc/<pid>/stat]; where [/proc]
+    cannot be read, a pid [kill] still finds counts as alive).  An
+    unreadable or garbled pid — a crash between creating the file and
+    writing it — is treated as stale too.  [EPERM] counts as alive: the
+    owner exists but belongs to another user.  Breaking races are
+    resolved by retrying the atomic create a bounded number of times. *)
 
 type t
 

@@ -20,6 +20,18 @@ let sample k =
   let step = Stdlib.max 1 (n / k) in
   Array.init (Stdlib.min k ((n + step - 1) / step)) (fun i -> all.(i * step))
 
+let id = function None -> "full" | Some n -> Printf.sprintf "sample%d" n
+
+let parse_id name =
+  if String.equal name "full" then Ok None
+  else if String.length name > 6 && String.equal (String.sub name 0 6) "sample" then
+    match int_of_string_opt (String.sub name 6 (String.length name - 6)) with
+    | Some n when n >= 1 -> Ok (Some n)
+    | _ -> Error (Printf.sprintf "bad suite %S: sampleN needs a positive N" name)
+  else Error (Printf.sprintf "unknown suite %S (expected \"full\" or \"sampleN\")" name)
+
+let of_sample = function None -> perfect_club_like () | Some n -> sample n
+
 let with_kernels () =
   Array.append (Array.of_list (List.map snd (Kernels.all ()))) (perfect_club_like ())
 
@@ -31,13 +43,7 @@ let real () =
       Stencil.suite ();
     ]
 
-let families () = [ ("synthetic", perfect_club_like ()); ("real", real ()) ]
-
-let families_for ~sample:k =
-  [
-    ("synthetic", (match k with None -> perfect_club_like () | Some k -> sample k));
-    ("real", real ());
-  ]
+let families_for ~sample:k = [ ("synthetic", of_sample k); ("real", real ()) ]
 
 let statistics loops =
   let total_ops = ref 0 and total_loops = Array.length loops in

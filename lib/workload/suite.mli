@@ -13,6 +13,20 @@ val sample : int -> Wr_ir.Loop.t array
 (** A deterministic subset of the suite (every k-th loop), for fast
     tests and benchmark timing runs. *)
 
+val id : int option -> string
+(** The suite id a run is named by: ["full"] for the whole suite,
+    ["sampleN"] for [sample N].  Study caches, the result store and the
+    query service all key points on this name. *)
+
+val parse_id : string -> (int option, string) result
+(** The inverse of {!id}: ["full"] is [Ok None], ["sampleN"] with a
+    positive [N] is [Ok (Some N)]; anything else is an [Error] naming
+    the bad id. *)
+
+val of_sample : int option -> Wr_ir.Loop.t array
+(** The loops {!id} names: {!perfect_club_like} for [None], {!sample}
+    for [Some n]. *)
+
 val with_kernels : unit -> Wr_ir.Loop.t array
 (** The suite plus the hand-written kernels. *)
 
@@ -22,18 +36,14 @@ val real : unit -> Wr_ir.Loop.t array
     heat, FIR, fma recurrences) — loops with exactly known dependence
     structure, as opposed to the synthetic generator's. *)
 
-val families : unit -> (string * Wr_ir.Loop.t array) list
-(** The study cut: [[("synthetic", ...); ("real", ...)]] — drivers
-    report widening results per family so compactability claims can be
-    compared between generated and real loops. *)
-
 val families_for : sample:int option -> (string * Wr_ir.Loop.t array) list
-(** {!families} with the synthetic family subsampled like {!sample}
-    ([None] keeps the full 1180); the real family is always complete
-    (it is already small).  This is the cut the bench drivers use so a
-    [-s N] run's synthetic family coincides exactly with its main
-    suite — per-family rows then reuse the evaluation cache instead of
-    recomputing the suite. *)
+(** The study cut [[("synthetic", of_sample sample); ("real", real ())]]
+    — drivers report widening results per family so compactability
+    claims can be compared between generated and real loops.  The real
+    family is always complete (it is already small).  A [-s N] run's
+    synthetic family coincides exactly with its main suite, so
+    per-family rows reuse the evaluation cache instead of recomputing
+    the suite. *)
 
 val statistics : Wr_ir.Loop.t array -> string
 (** Human-readable aggregate statistics (op counts, op mix, recurrence

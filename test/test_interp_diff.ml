@@ -230,7 +230,7 @@ let test_equal_memory_bitwise () =
 (* --- workload family cut --------------------------------------------------- *)
 
 let test_families_cut () =
-  let fams = Wr_workload.Suite.families () in
+  let fams = Wr_workload.Suite.families_for ~sample:None in
   Alcotest.(check (list string)) "family names" [ "synthetic"; "real" ] (List.map fst fams);
   let real = List.assoc "real" fams in
   Alcotest.(check bool) "real family is non-trivial" true (Array.length real >= 12);

@@ -203,6 +203,28 @@ let test_lockfile () =
   | Ok l -> Wr_util.Lockfile.release l
   | Error e -> Alcotest.failf "garbled lock not broken: %s" e
 
+(* A killed owner that its parent has not reaped yet is a zombie:
+   [kill pid 0] still succeeds on it, but it can never release the lock,
+   so [acquire] must break it.  Seeing the zombie state needs /proc;
+   without it there is nothing to check. *)
+let test_lockfile_zombie () =
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "LOCK" in
+  let pid = Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout Unix.stderr in
+  let zombie () =
+    match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+    | stat -> stat.[String.rindex stat ')' + 2] = 'Z'
+    | exception (Sys_error _ | Not_found | Invalid_argument _) -> false
+  in
+  let rec await tries = zombie () || (tries > 0 && (Unix.sleepf 0.01; await (tries - 1))) in
+  Fun.protect ~finally:(fun () -> ignore (Unix.waitpid [] pid)) @@ fun () ->
+  if await 500 then begin
+    Out_channel.with_open_bin path (fun oc -> Printf.fprintf oc "%d\n" pid);
+    match Wr_util.Lockfile.acquire path with
+    | Ok l -> Wr_util.Lockfile.release l
+    | Error e -> Alcotest.failf "zombie owner's lock not broken: %s" e
+  end
+
 (* --- live server -------------------------------------------------------- *)
 
 let tmp_sock () =
@@ -218,9 +240,6 @@ let start_server ?(queue_max = Server.default_queue_max) ?store () =
       queue_max;
       request_budget_ms = None;
       store;
-      ledger = None;
-      metrics = None;
-      trace = None;
     }
   in
   let th = Thread.create Server.run cfg in
@@ -420,7 +439,11 @@ let () =
             test_backoff_deterministic_and_bounded;
           Alcotest.test_case "retry policy" `Quick test_retry_policy;
         ] );
-      ("lockfile", [ Alcotest.test_case "acquire, conflict, stale" `Quick test_lockfile ]);
+      ( "lockfile",
+        [
+          Alcotest.test_case "acquire, conflict, stale" `Quick test_lockfile;
+          Alcotest.test_case "zombie owner is stale" `Quick test_lockfile_zombie;
+        ] );
       ( "server",
         [
           Alcotest.test_case "lifecycle over a unix socket" `Quick test_server_lifecycle;

@@ -177,6 +177,22 @@ let test_livermore_widen_equivalence () =
         [ 2; 4 ])
     (L.all ())
 
+(* The run front ends and the query service name suites with one
+   function pair; its error strings are part of the service protocol. *)
+let test_suite_ids () =
+  List.iter
+    (fun id ->
+      Alcotest.(check (result string string)) id (Ok id) (Result.map Suite.id (Suite.parse_id id)))
+    [ "full"; "sample12" ];
+  Alcotest.(check int) "sample12 loops" 12 (Array.length (Suite.of_sample (Some 12)));
+  let bad = Printf.sprintf "bad suite %S: sampleN needs a positive N" in
+  let unknown = Printf.sprintf "unknown suite %S (expected \"full\" or \"sampleN\")" in
+  List.iter
+    (fun (id, msg) ->
+      Alcotest.(check (result (option int) string)) id (Error msg) (Suite.parse_id id))
+    [ ("sample0", bad "sample0"); ("samplex", bad "samplex"); ("sample", unknown "sample");
+      ("foo", unknown "foo") ]
+
 let () =
   Alcotest.run "wr_workload"
     [
@@ -207,5 +223,6 @@ let () =
           Alcotest.test_case "sample" `Quick test_suite_sample;
           Alcotest.test_case "statistics" `Quick test_suite_statistics_text;
           Alcotest.test_case "with kernels" `Quick test_with_kernels;
+          Alcotest.test_case "ids" `Quick test_suite_ids;
         ] );
     ]
