@@ -284,9 +284,7 @@ let codegen_cmd =
     | None -> print_string (Wr_vliw.Codegen.emit g s a cfg));
     let counts = Wr_vliw.Codegen.word_counts g s a cfg in
     Printf.printf
-      "
-; prologue %d words, kernel %d words, epilogue %d words; %d filled / %d nop slots
-"
+      "\n; prologue %d words, kernel %d words, epilogue %d words; %d filled / %d nop slots\n"
       counts.Wr_vliw.Codegen.prologue_words counts.Wr_vliw.Codegen.kernel_words
       counts.Wr_vliw.Codegen.epilogue_words counts.Wr_vliw.Codegen.filled_slots
       counts.Wr_vliw.Codegen.nop_slots
@@ -305,14 +303,13 @@ let simulate_cmd =
     match Wr_vliw.Sim.check_against_reference loop cfg ~iterations with
     | Ok sim ->
         Printf.printf
-          "simulated %d wide iterations on %s: %d cycles (steady-state model %d), %d                instances issued
-               memory image matches the reference interpreter bit-for-bit.
-"
+          "simulated %d wide iterations on %s: %d cycles (steady-state model %d), %d \
+           instances issued\n\
+           memory image matches the reference interpreter bit-for-bit.\n"
           iterations (Config.label cfg) sim.Wr_vliw.Sim.cycles
           sim.Wr_vliw.Sim.kernel_cycles sim.Wr_vliw.Sim.issued
     | Error msg ->
-        Printf.printf "MISMATCH: %s
-" msg;
+        Printf.printf "MISMATCH: %s\n" msg;
         exit 2
   in
   Cmd.v

@@ -32,10 +32,6 @@ let evaluations () = Atomic.get eval_count
    the tests can read hit rates without enabling full tracing. *)
 type cache_stats = { hits : int; misses : int }
 
-let suite_hits = Atomic.make 0
-
-let suite_misses = Atomic.make 0
-
 let loop_hits = Atomic.make 0
 
 let loop_misses = Atomic.make 0
@@ -45,7 +41,6 @@ let store_hits = Atomic.make 0
 let store_misses = Atomic.make 0
 
 let cache_stats = function
-  | `Suite -> { hits = Atomic.get suite_hits; misses = Atomic.get suite_misses }
   | `Loop -> { hits = Atomic.get loop_hits; misses = Atomic.get loop_misses }
   | `Store -> { hits = Atomic.get store_hits; misses = Atomic.get store_misses }
 
@@ -283,38 +278,31 @@ let loop_on ?plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
       ~args:[ ("loop", loop.Loop.name); ("config", Config.label c) ]
       (fun () -> loop_on_impl ?plan_key c ~cycle_model ~registers loop)
 
-type aggregate = {
-  total_cycles : float;
-  loops : int;
-  unpipelined : int;
-  unpipelined_weight : float;
-  spilled_loops : int;
-  total_stores : int;
-  total_loads : int;
-}
+(* Where an answer came from: the in-memory memo, the persistent store,
+   or a fresh run of the pipeline. *)
+type source = Memo | Store | Fresh
 
-(* Thread-safety discipline: both memo tables are shared across the
-   pool's domains and every access goes through [cache_mutex].  Lookups
-   and stores are short critical sections; the evaluation itself runs
+type answer = { result : loop_result; source : source; degraded : bool }
+
+(* Thread-safety discipline: the memo table is shared across the pool's
+   domains and every access goes through [cache_mutex].  Lookups and
+   stores are short critical sections; the evaluation itself runs
    outside the lock, so two domains racing on the same key at most
-   duplicate a deterministic computation and [Hashtbl.replace] makes
-   the second store a no-op in effect.
+   duplicate a deterministic computation, and the first store wins.
 
-   Two levels: [cache] memoizes whole-suite aggregates (the technology
-   studies revisit operating points), while [loop_cache] memoizes
-   individual loop evaluations keyed by (suite, loop index, machine
-   point) so that different studies — and different aggregations over
-   the same suite — share the expensive schedule-and-allocate work. *)
-let cache : (string * int * int * int * int, aggregate) Hashtbl.t = Hashtbl.create 256
-
-let loop_cache : (string * int * int * int * int * int, loop_result) Hashtbl.t =
+   [loop_cache] memoizes individual loop evaluations keyed by (suite,
+   loop index, machine point), so different studies — and every
+   aggregation over the same suite — share the expensive
+   schedule-and-allocate work.  An entry is kept as the answer a later
+   lookup returns (source [Memo], the evaluation's degraded flag), so a
+   hit allocates nothing. *)
+let loop_cache : (string * int * int * int * int * int, answer) Hashtbl.t =
   Hashtbl.create 4096
 
 let cache_mutex = Mutex.create ()
 
 let clear_cache () =
   Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
   Hashtbl.reset loop_cache;
   Mutex.unlock cache_mutex;
   Mutex.lock plan_cache_mutex;
@@ -322,30 +310,10 @@ let clear_cache () =
   Mutex.unlock plan_cache_mutex;
   (* The hit/miss statistics describe the cache contents; dropping one
      without the other would make subsequent hit rates unreadable. *)
-  Atomic.set suite_hits 0;
-  Atomic.set suite_misses 0;
   Atomic.set loop_hits 0;
   Atomic.set loop_misses 0;
   Atomic.set store_hits 0;
   Atomic.set store_misses 0
-
-let cache_find key =
-  Mutex.lock cache_mutex;
-  let r = Hashtbl.find_opt cache key in
-  Mutex.unlock cache_mutex;
-  (match r with
-  | Some _ ->
-      Atomic.incr suite_hits;
-      if Obs.enabled () then Obs.incr "eval/suite_cache_hits"
-  | None ->
-      Atomic.incr suite_misses;
-      if Obs.enabled () then Obs.incr "eval/suite_cache_misses");
-  r
-
-let cache_store key agg =
-  Mutex.lock cache_mutex;
-  Hashtbl.replace cache key agg;
-  Mutex.unlock cache_mutex
 
 (* Persistent content-addressed store (see {!Store}): the one
    persistence layer, behind both crash-resume and warm start.  It is
@@ -438,11 +406,10 @@ let degraded_result ~cycle_model ~registers (loop : Loop.t) =
 (* Provenance record for one freshly evaluated point; called only when
    capture is on and this call's result won the first-store race, so a
    run emits at most one record per point. *)
-let prov_record ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop
+let prov_record ~hash ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop
     (r : loop_result) ~clean ~tag (t : Wr_sched.Backend.tally) ~wall_us =
   {
-    Provenance.hash =
-      Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop;
+    Provenance.hash;
     suite = suite_id;
     index;
     loop = loop.Loop.name;
@@ -474,42 +441,58 @@ let prov_record ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop
     wall_us;
   }
 
-let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
-  let key =
-    ( suite_id,
-      index,
-      c.Config.buses,
-      c.Config.width,
-      registers,
-      Cycle_model.cycles cycle_model )
+let cache_key ~suite_id ~index (c : Config.t) ~cycle_model ~registers =
+  (suite_id, index, c.Config.buses, c.Config.width, registers, Cycle_model.cycles cycle_model)
+
+(* First store wins so concurrent callers settle on one physical result
+   record.  A caller that lost the race gets the winner's result and
+   degraded flag under its own source. *)
+let settle key (a : answer) =
+  Mutex.lock cache_mutex;
+  let memo =
+    match Hashtbl.find_opt loop_cache key with
+    | Some m -> m
+    | None ->
+        let m = { a with source = Memo } in
+        Hashtbl.add loop_cache key m;
+        m
   in
+  Mutex.unlock cache_mutex;
+  if memo.result == a.result then a else { memo with source = a.source }
+
+let point ?hash ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
+  let key = cache_key ~suite_id ~index c ~cycle_model ~registers in
   Mutex.lock cache_mutex;
   let hit = Hashtbl.find_opt loop_cache key in
   Mutex.unlock cache_mutex;
   match hit with
-  | Some r ->
+  | Some a ->
       Atomic.incr loop_hits;
       if Obs.enabled () then Obs.incr "eval/loop_cache_hits";
-      r
+      a
   | None -> (
       Atomic.incr loop_misses;
       if Obs.enabled () then Obs.incr "eval/loop_cache_misses";
-      (* Second chance: the persistent store, keyed by the point's
-         content hash.  A hit is a prior run's (or another client's)
-         clean result; it enters the loop cache like any other entry
-         and is served without touching the scheduler. *)
       let attached_store = current_store () in
-      let point_hash =
-        match attached_store with
-        | None -> 0L
-        | Some _ ->
+      let cap = Provenance.capture_enabled () in
+      (* The content hash keys the store and names the ledger record;
+         it is computed at most once per miss, and not at all when the
+         caller already holds it or nothing needs it. *)
+      let hash =
+        match hash with
+        | Some h -> h
+        | None when cap || Option.is_some attached_store ->
             Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop
+        | None -> 0L
       in
+      (* Second chance: the persistent store.  A hit is a prior run's (or
+         another client's) clean result; it enters the loop cache like any
+         other entry and is served without touching the scheduler. *)
       let from_store =
         match attached_store with
         | None -> None
         | Some st -> (
-            match Store.find st point_hash with
+            match Store.find st hash with
             | Some e ->
                 Atomic.incr store_hits;
                 if Obs.enabled () then Obs.incr "eval/store_hits";
@@ -520,17 +503,7 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
                 None)
       in
       match from_store with
-      | Some r ->
-          Mutex.lock cache_mutex;
-          let stored =
-            match Hashtbl.find_opt loop_cache key with
-            | Some r' -> r'
-            | None ->
-                Hashtbl.add loop_cache key r;
-                r
-          in
-          Mutex.unlock cache_mutex;
-          stored
+      | Some r -> settle key { result = r; source = Store; degraded = false }
       | None ->
       (* Supervision: the whole widen/schedule/allocate pipeline for
          this one point runs under the point's fault-injection context
@@ -551,7 +524,6 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
                 Wr_util.Deadline.with_budget_ms ms (fun () ->
                     loop_on ~plan_key c ~cycle_model ~registers loop))
       in
-      let cap = Provenance.capture_enabled () in
       let wall = cap && Provenance.wall_enabled () in
       let t0 = if wall then Obs.now_ns () else 0 in
       let run_point () =
@@ -580,108 +552,87 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
         if cap then Wr_sched.Backend.with_tally run_point
         else (run_point (), Wr_sched.Backend.empty_tally ())
       in
-      Mutex.lock cache_mutex;
-      (* First store wins so concurrent callers settle on one physical
-         result record. *)
-      let stored =
-        match Hashtbl.find_opt loop_cache key with
-        | Some r' -> r'
-        | None ->
-            Hashtbl.add loop_cache key r;
-            r
-      in
-      Mutex.unlock cache_mutex;
+      let a = settle key { result = r; source = Fresh; degraded = not clean } in
+      let won = a.result == r in
       (* Only the winning clean evaluation persists; quarantined points
          must re-run.  [Store.add] batches its fsyncs, so a kill loses
          at most one batch, which a resume re-evaluates; the service
          calls [flush_store] before each reply it sends.  An append
          racing a detach is dropped, not fatal. *)
       (match attached_store with
-      | Some st when clean && stored == r -> (
-          try Store.add st (store_entry_of_result point_hash r) with Invalid_argument _ -> ())
+      | Some st when clean && won -> (
+          try Store.add st (store_entry_of_result hash r) with Invalid_argument _ -> ())
       | _ -> ());
       (* Same first-store-wins discipline: only the winning evaluation
          describes the point, and a quarantined point is recorded too,
          exception tag and all. *)
-      if cap && stored == r then begin
+      if cap && won then begin
         let wall_us = if wall then Some ((Obs.now_ns () - t0) / 1000) else None in
         Provenance.record
-          (prov_record ~suite_id ~index c ~cycle_model ~registers loop r ~clean ~tag tally
+          (prov_record ~hash ~suite_id ~index c ~cycle_model ~registers loop r ~clean ~tag tally
              ~wall_us)
       end;
-      stored)
+      a)
 
-(* Counter-free probes for the service's per-reply source labels: they
-   must not perturb the hit/miss statistics the same reply reports. *)
-let probe ~suite_id ~index (c : Config.t) ~cycle_model ~registers =
-  let key =
-    ( suite_id,
-      index,
-      c.Config.buses,
-      c.Config.width,
-      registers,
-      Cycle_model.cycles cycle_model )
-  in
+let loop_cached ~suite_id ~index c ~cycle_model ~registers loop =
+  (point ~suite_id ~index c ~cycle_model ~registers loop).result
+
+(* Counter-free: a probe must not perturb the hit/miss statistics. *)
+let probe ~suite_id ~index c ~cycle_model ~registers =
+  let key = cache_key ~suite_id ~index c ~cycle_model ~registers in
   Mutex.lock cache_mutex;
-  let r = Hashtbl.find_opt loop_cache key in
+  let a = Hashtbl.find_opt loop_cache key in
   Mutex.unlock cache_mutex;
-  r
+  Option.map (fun a -> a.result) a
 
-let probe_store ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
-  match current_store () with
-  | None -> false
-  | Some st ->
-      Store.find st (Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop)
-      <> None
+type aggregate = {
+  total_cycles : float;
+  loops : int;
+  unpipelined : int;
+  unpipelined_weight : float;
+  spilled_loops : int;
+  total_stores : int;
+  total_loads : int;
+}
 
 let suite_on ?pool ~suite_id (c : Config.t) ~cycle_model ~registers loops =
-  let key =
-    (suite_id, c.Config.buses, c.Config.width, registers, Cycle_model.cycles cycle_model)
+  (* Per-loop evaluations are independent; fan them out over the pool.
+     The fold below walks the order-preserving result array
+     sequentially, so float accumulation order — and with it the
+     aggregate, bit for bit — is identical for any pool size. *)
+  let indexed = Array.mapi (fun i loop -> (i, loop)) loops in
+  let results =
+    (if not (Obs.enabled ()) then fun f -> f ()
+     else Obs.span "eval/suite" ~args:[ ("config", Config.label c) ])
+      (fun () ->
+        Wr_util.Pool.parallel_map ?pool indexed ~f:(fun (i, loop) ->
+            loop_cached ~suite_id ~index:i c ~cycle_model ~registers loop))
   in
-  match cache_find key with
-  | Some agg -> agg
-  | None ->
-      (* Per-loop evaluations are independent; fan them out over the
-         pool.  The fold below walks the order-preserving result array
-         sequentially, so float accumulation order — and with it the
-         aggregate, bit for bit — is identical for any pool size. *)
-      let indexed = Array.mapi (fun i loop -> (i, loop)) loops in
-      let results =
-        (if not (Obs.enabled ()) then fun f -> f ()
-         else Obs.span "eval/suite" ~args:[ ("config", Config.label c) ])
-          (fun () ->
-            Wr_util.Pool.parallel_map ?pool indexed ~f:(fun (i, loop) ->
-                loop_cached ~suite_id ~index:i c ~cycle_model ~registers loop))
-      in
-      let total_cycles = ref 0.0 in
-      let unpipelined = ref 0 and spilled = ref 0 in
-      let stores = ref 0 and loads = ref 0 in
-      let weight = ref 0.0 and fallback_weight = ref 0.0 in
-      Array.iteri
-        (fun i (r : loop_result) ->
-          let loop = loops.(i) in
-          total_cycles := !total_cycles +. r.cycles;
-          weight := !weight +. loop.Loop.weight;
-          if not r.pipelined then begin
-            incr unpipelined;
-            fallback_weight := !fallback_weight +. loop.Loop.weight
-          end;
-          if r.spill_stores > 0 then incr spilled;
-          stores := !stores + r.spill_stores;
-          loads := !loads + r.spill_loads)
-        results;
-      let agg =
-        {
-          total_cycles = !total_cycles;
-          loops = Array.length loops;
-          unpipelined = !unpipelined;
-          unpipelined_weight = (if !weight > 0.0 then !fallback_weight /. !weight else 0.0);
-          spilled_loops = !spilled;
-          total_stores = !stores;
-          total_loads = !loads;
-        }
-      in
-      cache_store key agg;
-      agg
+  let total_cycles = ref 0.0 in
+  let unpipelined = ref 0 and spilled = ref 0 in
+  let stores = ref 0 and loads = ref 0 in
+  let weight = ref 0.0 and fallback_weight = ref 0.0 in
+  Array.iteri
+    (fun i (r : loop_result) ->
+      let loop = loops.(i) in
+      total_cycles := !total_cycles +. r.cycles;
+      weight := !weight +. loop.Loop.weight;
+      if not r.pipelined then begin
+        incr unpipelined;
+        fallback_weight := !fallback_weight +. loop.Loop.weight
+      end;
+      if r.spill_stores > 0 then incr spilled;
+      stores := !stores + r.spill_stores;
+      loads := !loads + r.spill_loads)
+    results;
+  {
+    total_cycles = !total_cycles;
+    loops = Array.length loops;
+    unpipelined = !unpipelined;
+    unpipelined_weight = (if !weight > 0.0 then !fallback_weight /. !weight else 0.0);
+    spilled_loops = !spilled;
+    total_stores = !stores;
+    total_loads = !loads;
+  }
 
 let acceptable agg = agg.unpipelined_weight <= 0.10

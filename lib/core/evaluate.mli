@@ -11,10 +11,11 @@
     the execution weight is reported as not schedulable, matching the
     paper's missing 8w1 32-register bar.
 
-    Aggregates over a suite are memoized on
-    [(suite, buses, width, registers, cycle model)] because the
-    technology studies revisit the same operating points many times
-    (partition variants share everything but the clock).
+    One memo level holds per-loop results, keyed on
+    [(suite, index, buses, width, registers, cycle model)]; suite
+    aggregates are folded from it on every call, so studies that
+    revisit an operating point (partition variants share everything but
+    the clock) pay one table lookup per loop.
 
     {2 Concurrency}
 
@@ -55,6 +56,40 @@ val loop_on :
     call.  It must uniquely name the loop, like the cache key of
     {!loop_cached} (which passes it automatically). *)
 
+(** Where an {!answer} came from. *)
+type source =
+  | Memo  (** the in-memory loop cache *)
+  | Store  (** the attached persistent store *)
+  | Fresh  (** this call ran the pipeline *)
+
+type answer = {
+  result : loop_result;
+  source : source;
+  degraded : bool;
+      (** the evaluation raised and [result] is the quarantined
+          unpipelined fallback (see Supervision) *)
+}
+
+val point :
+  ?hash:int64 ->
+  suite_id:string ->
+  index:int ->
+  Wr_machine.Config.t ->
+  cycle_model:Wr_machine.Cycle_model.t ->
+  registers:int ->
+  Wr_ir.Loop.t ->
+  answer
+(** The one lookup: the loop cache, then the attached store, then a
+    supervised {!loop_on}.  The cache is keyed by
+    [(suite_id, index, buses, width, registers, cycle model)];
+    [suite_id] and [index] must uniquely name the loop passed.  Repeated
+    calls with one key return the physically same result record (a hit
+    returns the stored answer itself, with source [Memo] and the
+    evaluation's [degraded] flag); concurrent callers settle on the
+    first stored result.  [hash], when given, must be
+    {!Provenance.point_hash} of the same arguments: the store lookup and
+    the ledger record use it instead of hashing again.  Thread-safe. *)
+
 val loop_cached :
   suite_id:string ->
   index:int ->
@@ -63,11 +98,7 @@ val loop_cached :
   registers:int ->
   Wr_ir.Loop.t ->
   loop_result
-(** Loop-level memo over {!loop_on}, keyed by
-    [(suite_id, index, buses, width, registers, cycle model)].
-    [suite_id] and [index] must uniquely name the loop passed.  Repeated
-    calls with one key return the physically same record; concurrent
-    callers settle on the first stored result.  Thread-safe. *)
+(** [(point ...).result]. *)
 
 val evaluations : unit -> int
 (** Number of times {!loop_on} actually ran the widen/schedule/allocate
@@ -76,12 +107,12 @@ val evaluations : unit -> int
 
 type cache_stats = { hits : int; misses : int }
 
-val cache_stats : [ `Suite | `Loop | `Store ] -> cache_stats
-(** Hit/miss counts per memo level ([`Suite]: whole-suite aggregates;
-    [`Loop]: per-loop results; [`Store]: the attached persistent store,
-    consulted on loop-cache misses).  Always counted, thread-safe, and
-    reset by {!clear_cache} alongside the cached entries themselves
-    (the store's on-disk contents survive, only the counters reset). *)
+val cache_stats : [ `Loop | `Store ] -> cache_stats
+(** Hit/miss counts per level ([`Loop]: the per-loop memo; [`Store]:
+    the attached persistent store, consulted on loop-cache misses).
+    Always counted, thread-safe, and reset by {!clear_cache} alongside
+    the cached entries themselves (the store's on-disk contents
+    survive, only the counters reset). *)
 
 val set_verify : bool -> unit
 (** Toggle verification mode: when on, every {!loop_on} result is
@@ -193,19 +224,7 @@ val probe :
   registers:int ->
   loop_result option
 (** Loop-cache lookup without evaluating and without touching the
-    hit/miss counters — the service uses it to label each reply's
-    source ([memo]/[store]/[fresh]) before running {!loop_cached}. *)
-
-val probe_store :
-  suite_id:string ->
-  index:int ->
-  Wr_machine.Config.t ->
-  cycle_model:Wr_machine.Cycle_model.t ->
-  registers:int ->
-  Wr_ir.Loop.t ->
-  bool
-(** Whether the attached store holds this point (counter-free, like
-    {!probe}); [false] when no store is attached. *)
+    hit/miss counters. *)
 
 type aggregate = {
   total_cycles : float;  (** weighted cycles over all loops *)
@@ -225,15 +244,15 @@ val suite_on :
   registers:int ->
   Wr_ir.Loop.t array ->
   aggregate
-(** Memoized; [suite_id] must uniquely name the loop array passed.
-    Evaluates loops in parallel on [pool] (default: the shared pool);
-    deterministic for any pool size. *)
+(** Folds {!loop_cached} over the array in input order; [suite_id] and
+    each loop's position must uniquely name it.  Evaluates loops in
+    parallel on [pool] (default: the shared pool); deterministic for any
+    pool size. *)
 
 val acceptable : aggregate -> bool
 (** Whether the configuration point counts as schedulable: fallbacks
     carry at most 10% of the execution weight. *)
 
 val clear_cache : unit -> unit
-(** Drops all memo levels: the suite aggregates, the per-loop results,
-    and the compiled interpreter plans.  Also resets {!cache_stats} for
-    both counted levels. *)
+(** Drops the per-loop results and the compiled interpreter plans, and
+    resets {!cache_stats} for both counted levels. *)

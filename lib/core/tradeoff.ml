@@ -55,8 +55,8 @@ let evaluate ?(suite_id = "suite") loops (c : Config.t) =
   end
 
 let panel ~suite_id ~title loops configs =
-  (* Fill the baseline's memo entry before fanning out so the parallel
-     points don't all recompute it on a cold cache. *)
+  (* Fill the baseline's loop-cache entries before fanning out so the
+     parallel points don't all recompute them on a cold cache. *)
   ignore (baseline_wallclock ~suite_id loops);
   let rows =
     Wr_util.Pool.parallel_list_map configs ~f:(fun c ->

@@ -1,8 +1,6 @@
 module J = Core.Bench_schema
 module Evaluate = Core.Evaluate
 module Store = Core.Store
-module Config = Wr_machine.Config
-module Cycle_model = Wr_machine.Cycle_model
 module Loop = Wr_ir.Loop
 module Pool = Wr_util.Pool
 module Obs = Wr_obs.Obs
@@ -90,9 +88,6 @@ let expect_reply conn =
 
 (* --- health ------------------------------------------------------------ *)
 
-let stats_obj (s : Evaluate.cache_stats) =
-  J.Obj [ ("hits", J.int s.Evaluate.hits); ("misses", J.int s.Evaluate.misses) ]
-
 let health_fields t =
   Mutex.lock t.qmutex;
   let queue_depth = Queue.length t.queue in
@@ -127,8 +122,9 @@ let health_fields t =
     ("coalesced", J.int (Atomic.get t.coalesced));
     ("evaluations", J.int (Evaluate.evaluations ()));
     ("quarantined", J.int (Evaluate.quarantined_count ()));
-    ("loop_cache", stats_obj (Evaluate.cache_stats `Loop));
-    ("suite_cache", stats_obj (Evaluate.cache_stats `Suite));
+    ( "loop_cache",
+      let s = Evaluate.cache_stats `Loop in
+      J.Obj [ ("hits", J.int s.Evaluate.hits); ("misses", J.int s.Evaluate.misses) ] );
     ("store", J.Obj store_fields);
     ("obs_enabled", J.Bool (Obs.enabled ()));
   ]
@@ -242,18 +238,6 @@ let reader t conn =
 
 (* --- evaluation -------------------------------------------------------- *)
 
-let degraded_point (p : P.point) =
-  let label = Config.label p.P.config in
-  let cycles = Cycle_model.cycles p.P.cycle_model in
-  List.exists
-    (fun (q : Evaluate.quarantine_record) ->
-      String.equal q.Evaluate.q_suite p.P.suite
-      && q.Evaluate.q_index = p.P.index
-      && String.equal q.Evaluate.q_config label
-      && q.Evaluate.q_registers = p.P.registers
-      && q.Evaluate.q_cycle_model = cycles)
-    (Evaluate.quarantined ())
-
 let with_budget t (p : P.point) f =
   match (p.P.deadline_ms, t.cfg.request_budget_ms) with
   | Some ms, _ | None, Some ms ->
@@ -263,20 +247,12 @@ let with_budget t (p : P.point) f =
       Wr_util.Deadline.with_budget_ms ms f
   | None, None -> f ()
 
+let source_label = function
+  | Evaluate.Memo -> "memo"
+  | Evaluate.Store -> "store"
+  | Evaluate.Fresh -> "fresh"
+
 let process_point t ~id ~(p : P.point) ~loop ~key ~conn =
-  let source =
-    match
-      Evaluate.probe ~suite_id:p.P.suite ~index:p.P.index p.P.config
-        ~cycle_model:p.P.cycle_model ~registers:p.P.registers
-    with
-    | Some _ -> "memo"
-    | None ->
-        if
-          Evaluate.probe_store ~suite_id:p.P.suite ~index:p.P.index p.P.config
-            ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop
-        then "store"
-        else "fresh"
-  in
   let outcome =
     (* A strict-mode failure (or any bug outside the quarantine net)
        becomes an error reply on this request; the server survives.
@@ -284,13 +260,13 @@ let process_point t ~id ~(p : P.point) ~loop ~key ~conn =
        client holds is on disk whatever becomes of this process; a
        failed flush is an error reply too. *)
     try
-      let r =
+      let a =
         with_budget t p (fun () ->
-            Evaluate.loop_cached ~suite_id:p.P.suite ~index:p.P.index p.P.config
+            Evaluate.point ~hash:key ~suite_id:p.P.suite ~index:p.P.index p.P.config
               ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop)
       in
       Evaluate.flush_store ();
-      Ok r
+      Ok a
     with
     | Out_of_memory -> raise Out_of_memory
     | e -> Error (Printexc.to_string e)
@@ -304,7 +280,9 @@ let process_point t ~id ~(p : P.point) ~loop ~key ~conn =
   Mutex.unlock t.qmutex;
   let reply ~coalesced id =
     match outcome with
-    | Ok r -> P.eval_reply ~id ~source ~degraded:(degraded_point p) ~coalesced r
+    | Ok (a : Evaluate.answer) ->
+        P.eval_reply ~id ~source:(source_label a.Evaluate.source) ~degraded:a.Evaluate.degraded
+          ~coalesced a.Evaluate.result
     | Error msg -> P.error_reply ~id msg
   in
   Atomic.incr t.served;

@@ -28,7 +28,7 @@
        through {!Core.Evaluate}'s quarantine path — the reply says
        [degraded], the server keeps running.}
     {- {b Quarantine, not crash}: any exception inside an evaluation
-       is absorbed exactly as [Evaluate.loop_cached] absorbs it
+       is absorbed exactly as [Evaluate.point] absorbs it
        (strict mode excepted); an exception anywhere else in request
        handling produces an error reply on that request only.}
     {- {b Graceful drain}: SIGTERM, SIGINT, or a [shutdown] request

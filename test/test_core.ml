@@ -163,7 +163,7 @@ let test_clear_cache_drops_both_levels () =
   in
   eval ();
   let n = Core.Evaluate.evaluations () in
-  (* Warm: both levels answer from the tables. *)
+  (* Warm: the loop cache answers the lookup and the suite fold. *)
   eval ();
   Alcotest.(check int) "warm caches: no pipeline runs" n (Core.Evaluate.evaluations ());
   Core.Evaluate.clear_cache ();

@@ -1,6 +1,6 @@
 (* The query service end to end: wire protocol, backoff/retry policy,
    single-writer lockfiles, and a live server exercised over a Unix
-   socket — answer sources (fresh/memo/store), duplicate coalescing,
+   socket — answer sources (fresh/memo/store), degraded flags, duplicate coalescing,
    bounded admission with explicit shedding, and graceful drain. *)
 
 module J = Core.Bench_schema
@@ -349,6 +349,28 @@ let test_server_reply_is_durable () =
         (String.starts_with ~prefix:(Printf.sprintf "e %Lx " hash) record)
   | lines -> Alcotest.failf "expected header + one record, got %d line(s)" (List.length lines)
 
+let member_bool k j =
+  match J.member k j with Some (J.Bool b) -> b | _ -> Alcotest.failf "reply missing %s" k
+
+let test_server_degraded_replies () =
+  with_clean_state @@ fun () ->
+  (* Every evaluation raises: the point degrades to the quarantined
+     fallback, and the memo keeps saying so on a repeat. *)
+  Fault.configure [ { Fault.site = "widen"; prob = 1.0; seed = 1L; action = Fault.Raise } ];
+  let sock, th = start_server () in
+  let req = P.req_eval ~suite:"sample5" ~index:0 ~config:"4w2(64)" () in
+  let r1 = query_ok sock req in
+  Alcotest.(check string) "faulted answer is fresh" "fresh" (member_str "source" r1);
+  Alcotest.(check bool) "faulted answer is degraded" true (member_bool "degraded" r1);
+  let r2 = query_ok sock req in
+  Alcotest.(check string) "repeat from memo" "memo" (member_str "source" r2);
+  Alcotest.(check bool) "repeat still degraded" true (member_bool "degraded" r2);
+  Fault.configure [];
+  let r3 = query_ok sock (P.req_eval ~suite:"sample5" ~index:1 ~config:"4w2(64)" ()) in
+  Alcotest.(check string) "clean answer is fresh" "fresh" (member_str "source" r3);
+  Alcotest.(check bool) "clean answer is not degraded" false (member_bool "degraded" r3);
+  stop_server sock th
+
 let test_server_coalesces_duplicates () =
   with_clean_state @@ fun () ->
   (* Slow evaluation down so concurrent duplicates overlap in flight. *)
@@ -450,6 +472,7 @@ let () =
           Alcotest.test_case "store warm start across restart" `Quick
             test_server_store_warm_start;
           Alcotest.test_case "served reply is on disk" `Quick test_server_reply_is_durable;
+          Alcotest.test_case "degraded replies flagged" `Quick test_server_degraded_replies;
           Alcotest.test_case "duplicate requests coalesce" `Quick
             test_server_coalesces_duplicates;
           Alcotest.test_case "overload sheds explicitly" `Quick
